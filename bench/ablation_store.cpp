@@ -14,7 +14,7 @@
 //          path — every record re-encoded into the destination's WAL;
 //        * bulk: ExtractToTable → IngestTable, the kBulkTable path — the
 //          subtree crosses as ONE sealed SSTable the destination links
-//          in, O(1) in record count.
+//          in and reads once, with no per-record work.
 //      The gate asserts the bulk path is faster AND lands the identical
 //      live set; the destination stores then pass the deep audit.
 //
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
 
   // Bulk path (kBulkTable): the source seals the vector into ONE SSTable
   // and the destination links the file in — the encode happens once, the
-  // apply is O(1) in record count.
+  // apply is one sequential read of the table.
   MetadataStore dst_bulk(std::make_unique<LsmEngine>(scratch + "/dst_bulk"));
   const std::string table = scratch + "/handoff.sst";
   t0 = Clock::now();

@@ -83,7 +83,7 @@ class MdsServer {
                  const std::vector<InodeRecord>& records);
 
   /// Bulk variant of ApplyPull: ingests a sealed SSTable file (LSM: file
-  /// link-in, O(1) in record count) instead of per-record inserts. Same
+  /// link-in, no per-record work) instead of per-record inserts. Same
   /// migration-id dedup contract. `records_ingested` (optional) reports
   /// how many records the table carried.
   bool ApplyPullTable(std::uint64_t migration_id, const std::string& path,

@@ -83,8 +83,9 @@ class MetadataStore {
                              const std::string& path);
 
   /// Bulk-ingests a sealed table (migration target side). The LSM engine
-  /// links the file in — O(1) in record count; the memory engine decodes
-  /// it. Returns records ingested. Keys must be disjoint from held ids.
+  /// links the file in — one sequential read of the table, no per-record
+  /// work; the memory engine decodes it. Returns records ingested. Keys
+  /// must be disjoint from held ids.
   std::size_t IngestTable(const std::string& path);
 
   // --- durability / audit hooks ------------------------------------------

@@ -59,7 +59,8 @@ enum class MsgType : std::uint8_t {
   /// Bulk subtree handoff: one sealed SSTable replaces the per-record
   /// stream of a migration/rename transfer. `name` carries the table
   /// path, `payload_records` the record count; the receiver ingests by
-  /// file link-in (O(1) in record count) and dedups on `migration_id`.
+  /// file link-in (one sequential read of the table, no per-record work)
+  /// and dedups on `migration_id`.
   kBulkTable,        // source MDS → destination MDS: sealed table handoff
 };
 

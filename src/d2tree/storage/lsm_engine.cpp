@@ -170,13 +170,23 @@ std::optional<SSTableEntry> LsmEngine::LookupLocked(NodeId id) const {
     if (!it->second.has_value()) return SSTableEntry{id, true, {}};
     return SSTableEntry{id, false, *it->second};
   }
+  SSTableEntry entry;
   for (auto t = tables_.rbegin(); t != tables_.rend(); ++t) {
     if (t->reader.BloomRejects(id)) {
       ++stats_.bloom_skips;
       continue;
     }
-    auto entry = t->reader.Get(id);
-    if (entry.has_value()) return entry;
+    switch (t->reader.Get(id, &entry)) {
+      case SSTableGet::kAbsent:
+        continue;
+      case SSTableGet::kFound:
+        return entry;
+      case SSTableGet::kBlockFailed:
+        // The damaged block may hold a tombstone for the id, so an older
+        // table's copy cannot be trusted: the record reads as absent.
+        // AuditStorage reports the damage.
+        return std::nullopt;
+    }
   }
   return std::nullopt;
 }
@@ -215,9 +225,9 @@ void LsmEngine::Put(const InodeRecord& record) {
 std::optional<InodeRecord> LsmEngine::Get(NodeId id) const {
   MutexLock lock(&mu_);
   ++stats_.gets;
-  const auto entry = LookupLocked(id);
+  auto entry = LookupLocked(id);
   if (!entry.has_value() || entry->tombstone) return std::nullopt;
-  return entry->record;
+  return std::move(entry->record);
 }
 
 bool LsmEngine::Contains(NodeId id) const {

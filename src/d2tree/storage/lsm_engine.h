@@ -10,10 +10,14 @@
 // shadow).
 //
 // Read path: memtable first, then tables newest → oldest, each gated by
-// its bloom filter. A tombstone anywhere shadows everything older.
+// its bloom filter. A tombstone anywhere shadows everything older. Every
+// open table is held in memory (SSTableReader), so a lookup does no file
+// I/O. A block that fails its CRC ends the lookup: the record reads as
+// absent rather than as an older table's copy it may have shadowed.
 //
 // Bulk shipping: IngestTableFile() links a sealed table into the
-// directory and registers it as the newest table — O(1) in record count.
+// directory and registers it as the newest table — one sequential read of
+// the table, no per-record work.
 // The memtable is flushed first so no stale memtable entry (e.g. a
 // tombstone from a prior extraction) can shadow the ingested records.
 //
@@ -84,7 +88,8 @@ class LsmEngine final : public StoreEngine {
   [[nodiscard]] bool OpenLocked(StoreRecoveryInfo* info) D2T_REQUIRES(mu_);
   void JournalPutLocked(const InodeRecord& record) D2T_REQUIRES(mu_);
   void JournalRemoveLocked(NodeId id) D2T_REQUIRES(mu_);
-  /// Memtable lookup, then tables newest → oldest (bloom-gated).
+  /// Memtable lookup, then tables newest → oldest (bloom-gated); nullopt
+  /// when absent or when the id's block in some table is damaged.
   std::optional<SSTableEntry> LookupLocked(NodeId id) const
       D2T_REQUIRES(mu_);
   /// Merged live view (oldest table → newest → memtable, tombstones out).
@@ -104,7 +109,8 @@ class LsmEngine final : public StoreEngine {
   /// Sorted memtable; nullopt value = tombstone.
   std::map<NodeId, std::optional<InodeRecord>> mem_ D2T_GUARDED_BY(mu_);
   std::size_t mem_bytes_ D2T_GUARDED_BY(mu_) = 0;
-  /// Oldest → newest. Mutable: reads seek within table files.
+  /// Oldest → newest. Mutable: a read records its block's CRC verdict in
+  /// the table's reader.
   mutable std::vector<Table> tables_ D2T_GUARDED_BY(mu_);
   std::uint64_t next_seq_ D2T_GUARDED_BY(mu_) = 1;
   std::size_t live_count_ D2T_GUARDED_BY(mu_) = 0;

@@ -13,6 +13,10 @@ namespace {
 constexpr std::uint8_t kEntryRecord = 1;
 constexpr std::uint8_t kEntryTombstone = 2;
 constexpr std::size_t kIndexEntryBytes = 24;  // 2*u32 ids + u64 off + 2*u32
+constexpr std::uint32_t kBloomHashes = 6;
+/// Largest bloom hash count a table may claim: every probe loops that many
+/// times, so a crafted count near 2^32 would stall each lookup for seconds.
+constexpr std::uint32_t kMaxBloomHashes = 64;
 
 /// splitmix64 finalizer: the bloom filter's base hash over a node id.
 std::uint64_t MixId(std::uint64_t x) {
@@ -22,7 +26,7 @@ std::uint64_t MixId(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool BloomTest(const std::vector<std::uint8_t>& bits, std::uint32_t nbits,
+bool BloomTest(const std::uint8_t* bits, std::uint32_t nbits,
                std::uint32_t nhashes, NodeId id) {
   if (nbits == 0 || nhashes == 0) return true;  // filter disabled
   const std::uint64_t h = MixId(id);
@@ -48,51 +52,59 @@ void BloomSet(std::vector<std::uint8_t>& bits, std::uint32_t nbits,
   }
 }
 
-struct Footer {
+/// Reads the whole file with one sized read.
+bool ReadFile(const std::string& path, std::vector<std::uint8_t>* out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  out->resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(out->data()), size);
+  return static_cast<bool>(in);
+}
+
+/// `[off, off + len)` lies inside `[0, limit)`, without overflow.
+bool Inside(std::uint64_t off, std::uint64_t len, std::uint64_t limit) {
+  return off <= limit && len <= limit - off;
+}
+
+/// Everything Open/Audit share, parsed from a table file's bytes: the
+/// footer, the block index (every block inside the data region, which
+/// ends where the index starts) and the bloom filter, whose bits stay in
+/// the file image at `bloom_at`. The index and bloom are CRC-checked; the
+/// data blocks are not.
+struct TableMeta {
   std::uint64_t index_off = 0;
+  std::uint64_t entry_count = 0;
+  NodeId min_id = kInvalidNode;
+  NodeId max_id = kInvalidNode;
+  std::vector<SSTableIndexEntry> index;
+  std::uint32_t bloom_nbits = 0;
+  std::uint32_t bloom_nhashes = 0;
+  std::size_t bloom_at = 0;
+};
+
+/// Parses and validates `size` bytes of table file; false with a reason
+/// on the first violated invariant.
+bool ParseTable(const std::uint8_t* file, std::size_t size, TableMeta* meta,
+                std::string* error) {
+  if (size < kSSTableFooterBytes) {
+    *error = "file shorter than footer";
+    return false;
+  }
+  const std::size_t body = size - kSSTableFooterBytes;
+  frame::Reader r(file + body, kSSTableFooterBytes);
   std::uint32_t index_len = 0;
   std::uint32_t index_crc = 0;
   std::uint64_t bloom_off = 0;
   std::uint32_t bloom_len = 0;
   std::uint32_t bloom_crc = 0;
-  std::uint64_t entry_count = 0;
-  NodeId min_id = kInvalidNode;
-  NodeId max_id = kInvalidNode;
-};
-
-/// Everything Open/Audit share: footer + parsed index + bloom, loaded and
-/// CRC-verified from the file. Returns false with a reason on the first
-/// violated invariant.
-struct TableMeta {
-  Footer footer;
-  std::vector<std::uint8_t> index_raw;
-  std::vector<std::uint8_t> bloom_raw;
-  std::uint32_t bloom_nbits = 0;
-  std::uint32_t bloom_nhashes = 0;
-  std::vector<std::uint8_t> bloom_bits;
-};
-
-bool LoadMeta(std::ifstream& in, TableMeta* meta, std::string* error) {
-  in.seekg(0, std::ios::end);
-  const std::int64_t file_size = in.tellg();
-  if (file_size < static_cast<std::int64_t>(kSSTableFooterBytes)) {
-    *error = "file shorter than footer";
-    return false;
-  }
-  std::uint8_t raw[kSSTableFooterBytes];
-  in.seekg(file_size - static_cast<std::int64_t>(kSSTableFooterBytes));
-  in.read(reinterpret_cast<char*>(raw), kSSTableFooterBytes);
-  if (!in) {
-    *error = "footer read failed";
-    return false;
-  }
-  frame::Reader r(raw, kSSTableFooterBytes);
-  Footer& f = meta->footer;
   std::uint32_t magic = 0;
-  if (!r.U64(&f.index_off) || !r.U32(&f.index_len) || !r.U32(&f.index_crc) ||
-      !r.U64(&f.bloom_off) || !r.U32(&f.bloom_len) || !r.U32(&f.bloom_crc) ||
-      !r.U64(&f.entry_count) || !r.U32(&f.min_id) || !r.U32(&f.max_id) ||
-      !r.U32(&magic)) {
+  if (!r.U64(&meta->index_off) || !r.U32(&index_len) || !r.U32(&index_crc) ||
+      !r.U64(&bloom_off) || !r.U32(&bloom_len) || !r.U32(&bloom_crc) ||
+      !r.U64(&meta->entry_count) || !r.U32(&meta->min_id) ||
+      !r.U32(&meta->max_id) || !r.U32(&magic)) {
     *error = "footer decode failed";
     return false;
   }
@@ -100,97 +112,125 @@ bool LoadMeta(std::ifstream& in, TableMeta* meta, std::string* error) {
     *error = "bad footer magic";
     return false;
   }
-  const auto size = static_cast<std::uint64_t>(file_size);
-  if (f.index_off + f.index_len > size || f.bloom_off + f.bloom_len > size) {
+  if (!Inside(meta->index_off, index_len, body) ||
+      !Inside(bloom_off, bloom_len, body)) {
     *error = "index/bloom region out of bounds";
     return false;
   }
-  meta->index_raw.resize(f.index_len);
-  in.seekg(static_cast<std::int64_t>(f.index_off));
-  in.read(reinterpret_cast<char*>(meta->index_raw.data()), f.index_len);
-  meta->bloom_raw.resize(f.bloom_len);
-  in.seekg(static_cast<std::int64_t>(f.bloom_off));
-  in.read(reinterpret_cast<char*>(meta->bloom_raw.data()), f.bloom_len);
-  if (!in) {
-    *error = "index/bloom read failed";
-    return false;
-  }
-  if (Crc32(meta->index_raw.data(), meta->index_raw.size()) != f.index_crc) {
+  const std::uint8_t* index = file + meta->index_off;
+  const std::uint8_t* bloom = file + bloom_off;
+  if (Crc32(index, index_len) != index_crc) {
     *error = "index CRC mismatch";
     return false;
   }
-  if (Crc32(meta->bloom_raw.data(), meta->bloom_raw.size()) != f.bloom_crc) {
+  if (Crc32(bloom, bloom_len) != bloom_crc) {
     *error = "bloom CRC mismatch";
     return false;
   }
-  frame::Reader b(meta->bloom_raw.data(), meta->bloom_raw.size());
+
+  frame::Reader b(bloom, bloom_len);
   if (!b.U32(&meta->bloom_nbits) || !b.U32(&meta->bloom_nhashes)) {
     *error = "bloom header decode failed";
     return false;
   }
-  const std::size_t nbytes = (meta->bloom_nbits + 7) / 8;
-  const std::uint8_t* bits = b.Bytes(nbytes);
-  if (bits == nullptr || !b.exhausted()) {
-    *error = "bloom bits truncated";
+  if (meta->bloom_nhashes > kMaxBloomHashes) {
+    *error = "bloom hash count out of range";
     return false;
   }
-  meta->bloom_bits.assign(bits, bits + nbytes);
-  return true;
-}
+  // 64-bit: a 32-bit (nbits + 7) wraps to 0 bytes for nbits near 2^32
+  // while BloomTest still indexes up to nbits / 8.
+  const std::uint64_t nbytes =
+      (static_cast<std::uint64_t>(meta->bloom_nbits) + 7) / 8;
+  if (b.remaining() != nbytes) {
+    *error = "bloom bit count disagrees with bloom length";
+    return false;
+  }
+  meta->bloom_at = static_cast<std::size_t>(bloom_off) + 8;
 
-struct ParsedIndexEntry {
-  NodeId first_id;
-  NodeId last_id;
-  std::uint64_t offset;
-  std::uint32_t length;
-  std::uint32_t crc;
-};
-
-bool ParseIndex(const std::vector<std::uint8_t>& raw,
-                std::vector<ParsedIndexEntry>* out, std::string* error) {
-  frame::Reader r(raw.data(), raw.size());
+  frame::Reader x(index, index_len);
   std::uint32_t nblocks = 0;
-  if (!r.U32(&nblocks) || r.remaining() != nblocks * kIndexEntryBytes) {
+  if (!x.U32(&nblocks) || x.remaining() != nblocks * kIndexEntryBytes) {
     *error = "index size disagrees with block count";
     return false;
   }
-  out->reserve(nblocks);
+  meta->index.resize(nblocks);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
-    ParsedIndexEntry e{};
-    r.U32(&e.first_id);
-    r.U32(&e.last_id);
-    r.U64(&e.offset);
-    r.U32(&e.length);
-    r.U32(&e.crc);
-    out->push_back(e);
-  }
-  return !r.failed();
-}
-
-/// Decodes one data block into entries; false on malformed bytes.
-bool ParseBlock(const std::uint8_t* data, std::size_t len,
-                const std::function<bool(const SSTableEntry&)>& fn) {
-  frame::Reader r(data, len);
-  while (!r.exhausted()) {
-    SSTableEntry entry;
-    std::uint8_t kind = 0;
-    std::uint32_t vlen = 0;
-    if (!r.U32(&entry.id) || !r.U8(&kind) || !r.U32(&vlen)) return false;
-    const std::uint8_t* value = r.Bytes(vlen);
-    if (value == nullptr) return false;
-    if (kind == kEntryTombstone) {
-      if (vlen != 0) return false;
-      entry.tombstone = true;
-    } else if (kind == kEntryRecord) {
-      auto rec = DecodeInodeRecord(value, vlen);
-      if (!rec.has_value() || rec->id != entry.id) return false;
-      entry.record = std::move(*rec);
-    } else {
+    SSTableIndexEntry& e = meta->index[i];
+    // The size check above guarantees these reads succeed.
+    x.U32(&e.first_id);
+    x.U32(&e.last_id);
+    x.U64(&e.offset);
+    x.U32(&e.length);
+    x.U32(&e.crc);
+    if (!Inside(e.offset, e.length, meta->index_off)) {
+      *error = "index entry " + std::to_string(i) +
+               " lies outside the data region";
       return false;
     }
-    if (!fn(entry)) return false;
   }
   return true;
+}
+
+/// One entry's header and its still-encoded value, as a block stores it.
+struct RawEntry {
+  NodeId id = kInvalidNode;
+  std::uint8_t kind = 0;
+  const std::uint8_t* value = nullptr;
+  std::uint32_t vlen = 0;
+};
+
+/// Reads the next entry header and steps over its value; false when the
+/// bytes do not frame an entry.
+bool NextEntry(frame::Reader& r, RawEntry* e) {
+  if (!r.U32(&e->id) || !r.U8(&e->kind) || !r.U32(&e->vlen)) return false;
+  e->value = r.Bytes(e->vlen);
+  return e->value != nullptr;
+}
+
+/// Decodes one entry; false on an unknown kind or a value that does not
+/// decode to a record with the entry's id.
+bool DecodeEntry(const RawEntry& raw, SSTableEntry* out) {
+  out->id = raw.id;
+  out->tombstone = raw.kind == kEntryTombstone;
+  if (out->tombstone) {
+    out->record = {};
+    return raw.vlen == 0;
+  }
+  if (raw.kind != kEntryRecord) return false;
+  auto rec = DecodeInodeRecord(raw.value, raw.vlen);
+  if (!rec.has_value() || rec->id != raw.id) return false;
+  out->record = std::move(*rec);
+  return true;
+}
+
+/// Decodes every entry of one data block in order; false on malformed
+/// bytes.
+bool ParseBlock(const std::uint8_t* data, std::size_t len,
+                const std::function<void(const SSTableEntry&)>& fn) {
+  frame::Reader r(data, len);
+  RawEntry raw;
+  SSTableEntry entry;
+  while (!r.exhausted()) {
+    if (!NextEntry(r, &raw) || !DecodeEntry(raw, &entry)) return false;
+    fn(entry);
+  }
+  return true;
+}
+
+/// Walks one data block's entry headers up to `id` and decodes only the
+/// entry that matches.
+SSTableGet FindInBlock(const std::uint8_t* data, std::size_t len, NodeId id,
+                       SSTableEntry* out) {
+  frame::Reader r(data, len);
+  RawEntry raw;
+  while (!r.exhausted()) {
+    if (!NextEntry(r, &raw)) return SSTableGet::kBlockFailed;
+    if (raw.id < id) continue;
+    if (raw.id > id) return SSTableGet::kAbsent;
+    return DecodeEntry(raw, out) ? SSTableGet::kFound
+                                 : SSTableGet::kBlockFailed;
+  }
+  return SSTableGet::kAbsent;
 }
 
 }  // namespace
@@ -249,7 +289,7 @@ bool SSTableBuilder::Finish() {
 
   std::vector<std::uint8_t> index;
   frame::PutU32(index, static_cast<std::uint32_t>(index_.size()));
-  for (const IndexEntry& e : index_) {
+  for (const SSTableIndexEntry& e : index_) {
     frame::PutU32(index, e.first_id);
     frame::PutU32(index, e.last_id);
     frame::PutU64(index, e.offset);
@@ -263,7 +303,7 @@ bool SSTableBuilder::Finish() {
   if (options_.bloom_bits_per_key > 0) {
     nbits = static_cast<std::uint32_t>(
         std::max<std::size_t>(64, options_.bloom_bits_per_key * count_));
-    nhashes = 6;
+    nhashes = kBloomHashes;
   }
   frame::PutU32(bloom, nbits);
   frame::PutU32(bloom, nhashes);
@@ -304,70 +344,54 @@ bool SSTableBuilder::Finish() {
 
 bool SSTableReader::Open(const std::string& path) {
   path_ = path;
-  in_.open(path, std::ios::binary);
-  if (!in_) return false;
+  if (!ReadFile(path, &file_)) return false;
   TableMeta meta;
   std::string error;
-  if (!LoadMeta(in_, &meta, &error)) return false;
-  std::vector<ParsedIndexEntry> parsed;
-  if (!ParseIndex(meta.index_raw, &parsed, &error)) return false;
-  index_.clear();
-  index_.reserve(parsed.size());
-  for (const ParsedIndexEntry& e : parsed)
-    index_.push_back({e.first_id, e.last_id, e.offset, e.length, e.crc});
-  bloom_bits_ = std::move(meta.bloom_bits);
+  if (!ParseTable(file_.data(), file_.size(), &meta, &error)) return false;
+  index_ = std::move(meta.index);
+  verdicts_.assign(index_.size(), Verdict::kUnchecked);
+  bloom_at_ = meta.bloom_at;
   bloom_nbits_ = meta.bloom_nbits;
   bloom_nhashes_ = meta.bloom_nhashes;
-  entry_count_ = meta.footer.entry_count;
-  min_id_ = meta.footer.min_id;
-  max_id_ = meta.footer.max_id;
+  entry_count_ = meta.entry_count;
+  min_id_ = meta.min_id;
+  max_id_ = meta.max_id;
   return true;
 }
 
 bool SSTableReader::BloomRejects(NodeId id) const {
-  return !BloomTest(bloom_bits_, bloom_nbits_, bloom_nhashes_, id);
+  return !BloomTest(file_.data() + bloom_at_, bloom_nbits_, bloom_nhashes_,
+                    id);
 }
 
-bool SSTableReader::ReadBlock(const IndexEntry& block,
-                              std::vector<std::uint8_t>* out) {
-  out->resize(block.length);
-  in_.clear();
-  in_.seekg(static_cast<std::int64_t>(block.offset));
-  in_.read(reinterpret_cast<char*>(out->data()), block.length);
-  if (!in_) return false;
-  return Crc32(out->data(), out->size()) == block.crc;
+bool SSTableReader::Intact(std::size_t b) {
+  if (verdicts_[b] == Verdict::kUnchecked) {
+    const SSTableIndexEntry& e = index_[b];
+    verdicts_[b] = Crc32(file_.data() + e.offset, e.length) == e.crc
+                       ? Verdict::kIntact
+                       : Verdict::kDamaged;
+  }
+  return verdicts_[b] == Verdict::kIntact;
 }
 
-std::optional<SSTableEntry> SSTableReader::Get(NodeId id) {
-  if (index_.empty() || id < min_id_ || id > max_id_) return std::nullopt;
+SSTableGet SSTableReader::Get(NodeId id, SSTableEntry* out) {
+  if (index_.empty() || id < min_id_ || id > max_id_)
+    return SSTableGet::kAbsent;
   const auto it = std::lower_bound(
       index_.begin(), index_.end(), id,
-      [](const IndexEntry& e, NodeId key) { return e.last_id < key; });
-  if (it == index_.end() || id < it->first_id) return std::nullopt;
-  std::vector<std::uint8_t> block;
-  if (!ReadBlock(*it, &block)) return std::nullopt;
-  std::optional<SSTableEntry> found;
-  ParseBlock(block.data(), block.size(), [&](const SSTableEntry& entry) {
-    if (entry.id == id) {
-      found = entry;
-      return false;  // stop the scan
-    }
-    return entry.id < id;
-  });
-  return found;
+      [](const SSTableIndexEntry& e, NodeId key) { return e.last_id < key; });
+  if (it == index_.end() || id < it->first_id) return SSTableGet::kAbsent;
+  if (!Intact(static_cast<std::size_t>(it - index_.begin())))
+    return SSTableGet::kBlockFailed;
+  return FindInBlock(file_.data() + it->offset, it->length, id, out);
 }
 
 bool SSTableReader::Scan(
     const std::function<void(const SSTableEntry&)>& fn) {
-  std::vector<std::uint8_t> block;
-  for (const IndexEntry& e : index_) {
-    if (!ReadBlock(e, &block)) return false;
-    if (!ParseBlock(block.data(), block.size(), [&](const SSTableEntry& x) {
-          fn(x);
-          return true;
-        })) {
+  for (std::size_t b = 0; b < index_.size(); ++b) {
+    const SSTableIndexEntry& e = index_[b];
+    if (!Intact(b) || !ParseBlock(file_.data() + e.offset, e.length, fn))
       return false;
-    }
   }
   return true;
 }
@@ -376,66 +400,53 @@ bool SSTableReader::Scan(
 
 SSTableAudit AuditSSTable(const std::string& path) {
   SSTableAudit audit;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    audit.issues.push_back("cannot open " + path);
+  // The audit reads the file afresh rather than trusting an open reader's
+  // in-memory copy: it must see damage done on disk after that open.
+  std::vector<std::uint8_t> file;
+  if (!ReadFile(path, &file)) {
+    audit.issues.push_back("cannot read " + path);
     return audit;
   }
   TableMeta meta;
   std::string error;
-  if (!LoadMeta(in, &meta, &error)) {
+  if (!ParseTable(file.data(), file.size(), &meta, &error)) {
     audit.issues.push_back(path + ": " + error);
     return audit;
   }
-  std::vector<ParsedIndexEntry> index;
-  if (!ParseIndex(meta.index_raw, &index, &error)) {
-    audit.issues.push_back(path + ": " + error);
-    return audit;
-  }
-  audit.blocks = index.size();
+  audit.blocks = meta.index.size();
+  const std::uint8_t* bloom = file.data() + meta.bloom_at;
 
   bool first = true;
   NodeId prev = 0;
   NodeId seen_min = kInvalidNode;
   NodeId seen_max = kInvalidNode;
-  std::vector<std::uint8_t> block;
-  for (std::size_t b = 0; b < index.size(); ++b) {
-    const ParsedIndexEntry& e = index[b];
+  for (std::size_t b = 0; b < meta.index.size(); ++b) {
+    const SSTableIndexEntry& e = meta.index[b];
     const std::string where = path + " block " + std::to_string(b);
-    block.resize(e.length);
-    in.clear();
-    in.seekg(static_cast<std::int64_t>(e.offset));
-    in.read(reinterpret_cast<char*>(block.data()), e.length);
-    if (!in) {
-      audit.issues.push_back(where + ": read failed");
-      continue;
-    }
-    if (Crc32(block.data(), block.size()) != e.crc) {
+    const std::uint8_t* data = file.data() + e.offset;
+    if (Crc32(data, e.length) != e.crc) {
       audit.issues.push_back(where + ": CRC mismatch");
       continue;
     }
     bool block_first = true;
     NodeId block_last = 0;
-    const bool ok =
-        ParseBlock(block.data(), block.size(), [&](const SSTableEntry& x) {
-          ++audit.entries;
-          if (x.tombstone) ++audit.tombstones;
-          if (block_first && x.id != e.first_id)
-            audit.issues.push_back(where + ": first id disagrees with index");
-          if (!first && x.id <= prev)
-            audit.issues.push_back(where + ": ids not strictly increasing");
-          if (!BloomTest(meta.bloom_bits, meta.bloom_nbits,
-                         meta.bloom_nhashes, x.id))
-            audit.issues.push_back(where + ": bloom misses stored id " +
-                                   std::to_string(x.id));
-          if (first) seen_min = x.id;
-          seen_max = x.id;
-          first = false;
-          block_first = false;
-          prev = x.id;
-          block_last = x.id;
-          return true;
-        });
+    const bool ok = ParseBlock(data, e.length, [&](const SSTableEntry& x) {
+      ++audit.entries;
+      if (x.tombstone) ++audit.tombstones;
+      if (block_first && x.id != e.first_id)
+        audit.issues.push_back(where + ": first id disagrees with index");
+      if (!first && x.id <= prev)
+        audit.issues.push_back(where + ": ids not strictly increasing");
+      if (!BloomTest(bloom, meta.bloom_nbits, meta.bloom_nhashes, x.id))
+        audit.issues.push_back(where + ": bloom misses stored id " +
+                               std::to_string(x.id));
+      if (first) seen_min = x.id;
+      seen_max = x.id;
+      first = false;
+      block_first = false;
+      prev = x.id;
+      block_last = x.id;
+    });
     if (!ok) {
       audit.issues.push_back(where + ": undecodable entry");
       continue;
@@ -443,10 +454,9 @@ SSTableAudit AuditSSTable(const std::string& path) {
     if (!block_first && block_last != e.last_id)
       audit.issues.push_back(where + ": last id disagrees with index");
   }
-  if (audit.entries != meta.footer.entry_count)
+  if (audit.entries != meta.entry_count)
     audit.issues.push_back(path + ": entry count disagrees with footer");
-  if (!first && (seen_min != meta.footer.min_id ||
-                 seen_max != meta.footer.max_id))
+  if (!first && (seen_min != meta.min_id || seen_max != meta.max_id))
     audit.issues.push_back(path + ": min/max ids disagree with footer");
   return audit;
 }

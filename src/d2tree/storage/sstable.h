@@ -57,6 +57,16 @@ struct SSTableEntry {
   bool operator==(const SSTableEntry&) const = default;
 };
 
+/// One block-index entry, as the index region stores it: the block's id
+/// range, its byte range in the data region and the CRC of its bytes.
+struct SSTableIndexEntry {
+  NodeId first_id = kInvalidNode;
+  NodeId last_id = kInvalidNode;
+  std::uint64_t offset = 0;
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+};
+
 /// Streams strictly-increasing-id entries into a sealed table file.
 class SSTableBuilder {
  public:
@@ -80,14 +90,6 @@ class SSTableBuilder {
  private:
   void CloseBlock();
 
-  struct IndexEntry {
-    NodeId first_id = kInvalidNode;
-    NodeId last_id = kInvalidNode;
-    std::uint64_t offset = 0;
-    std::uint32_t length = 0;
-    std::uint32_t crc = 0;
-  };
-
   std::string path_;
   SSTableOptions options_;
   std::ofstream out_;
@@ -95,7 +97,7 @@ class SSTableBuilder {
   NodeId block_first_ = kInvalidNode;
   NodeId last_id_ = kInvalidNode;
   std::uint64_t offset_ = 0;
-  std::vector<IndexEntry> index_;
+  std::vector<SSTableIndexEntry> index_;
   std::vector<NodeId> keys_;  // bloom input
   std::size_t count_ = 0;
   NodeId min_id_ = kInvalidNode;
@@ -104,21 +106,32 @@ class SSTableBuilder {
   bool failed_ = false;
 };
 
-/// Read side: footer + index + bloom stay in memory, data blocks are read
-/// (and CRC-checked) on demand. Not internally synchronized — the LSM
-/// engine serializes access under its own lock.
+/// Outcome of a point lookup in one table.
+enum class SSTableGet {
+  kAbsent,       // the table holds no entry for the id
+  kFound,        // the entry (record or tombstone) was decoded
+  kBlockFailed,  // the id's block failed its CRC or does not decode
+};
+
+/// Read side. Open reads the whole immutable file into memory with one
+/// read and validates footer, index and bloom; lookups and scans then run
+/// on that copy. Each data block's CRC is checked the first time a lookup
+/// or scan touches it and the verdict is kept, so a damaged block stays
+/// unreadable for the reader's lifetime. Damage done to the file after
+/// Open does not reach the reader; AuditSSTable re-reads the file to find
+/// it. Not internally synchronized — the LSM engine serializes access
+/// under its own lock.
 class SSTableReader {
  public:
-  SSTableReader() = default;
-  SSTableReader(SSTableReader&&) = default;
-  SSTableReader& operator=(SSTableReader&&) = default;
-
-  /// Opens and validates footer/index/bloom; false on any mismatch.
+  /// Reads the file and validates footer/index/bloom, including that every
+  /// index entry's block lies inside the data region; false on any
+  /// mismatch.
   [[nodiscard]] bool Open(const std::string& path);
 
-  /// Point lookup. nullopt = not in this table; an engaged optional holds
-  /// the entry (possibly a tombstone, which shadows older tables).
-  std::optional<SSTableEntry> Get(NodeId id);
+  /// Point lookup: walks the entry headers of the id's block and decodes
+  /// only the matching entry into `*out` (a tombstone shadows older
+  /// tables).
+  SSTableGet Get(NodeId id, SSTableEntry* out);
 
   /// Visits every entry in id order. False when a block fails its CRC.
   [[nodiscard]] bool Scan(const std::function<void(const SSTableEntry&)>& fn);
@@ -132,21 +145,17 @@ class SSTableReader {
   bool BloomRejects(NodeId id) const;
 
  private:
-  struct IndexEntry {
-    NodeId first_id;
-    NodeId last_id;
-    std::uint64_t offset;
-    std::uint32_t length;
-    std::uint32_t crc;
-  };
+  enum class Verdict : std::uint8_t { kUnchecked, kIntact, kDamaged };
 
-  [[nodiscard]] bool ReadBlock(const IndexEntry& block,
-                               std::vector<std::uint8_t>* out);
+  /// CRC-checks block `b` on its first touch; later calls reuse the
+  /// verdict.
+  bool Intact(std::size_t b);
 
   std::string path_;
-  mutable std::ifstream in_;
-  std::vector<IndexEntry> index_;
-  std::vector<std::uint8_t> bloom_bits_;
+  std::vector<std::uint8_t> file_;  // the whole table file
+  std::vector<SSTableIndexEntry> index_;
+  std::vector<Verdict> verdicts_;   // one per index_ entry
+  std::size_t bloom_at_ = 0;        // offset of the bloom bits in file_
   std::uint32_t bloom_nbits_ = 0;
   std::uint32_t bloom_nhashes_ = 0;
   std::uint64_t entry_count_ = 0;

@@ -82,7 +82,8 @@ class StoreEngine {
   /// carried. The caller guarantees the table's keys are disjoint from the
   /// engine's live set (the migration protocol's ownership invariant).
   /// Default: decode the table and Put record-by-record (memory engines);
-  /// LsmEngine links the file in and registers it — O(1) in record count.
+  /// LsmEngine links the file in and registers it — one sequential read
+  /// of the table, no per-record work.
   virtual std::size_t IngestTableFile(const std::string& path);
 
   /// Persists any volatile buffered state (LSM: seals the memtable).

@@ -1,11 +1,12 @@
 // LSM store-engine suite (LABELS "store"): the embedded engine's own
 // contract — WAL replay, torn-tail truncation, memtable seals, size-tiered
-// compaction, tombstone shadowing, O(1) table ingest — plus the offline
-// auditors (AuditSSTable, FsckStoreDir) against both clean and corrupted
-// files, and the cluster-level integration: a FunctionalCluster on the
-// LSM backend ships subtree handoffs as sealed tables, survives crash
-// sites with torn engine WALs, and resumes a durable namespace across a
-// full cluster teardown/reconstruct on the same directory.
+// compaction, tombstone shadowing, whole-table ingest, and how the
+// in-memory table reader treats damaged or crafted tables — plus the
+// offline auditors (AuditSSTable, FsckStoreDir) against both clean and
+// corrupted files, and the cluster-level integration: a FunctionalCluster
+// on the LSM backend ships subtree handoffs as sealed tables, survives
+// crash sites with torn engine WALs, and resumes a durable namespace
+// across a full cluster teardown/reconstruct on the same directory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "d2tree/durability/crash_point.h"
+#include "d2tree/durability/crc32.h"
+#include "d2tree/durability/frame.h"
 #include "d2tree/durability/fsck.h"
 #include "d2tree/mds/cluster.h"
 #include "d2tree/storage/lsm_engine.h"
@@ -62,6 +65,71 @@ InodeRecord Rec(NodeId id, const std::string& name, std::uint64_t mtime = 0,
   r.type = NodeType::kFile;
   r.attrs.mtime = mtime;
   return r;
+}
+
+std::vector<std::uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+/// Flips one bit of the byte at `offset` of the file, in place.
+void FlipByte(const std::string& path, std::uint64_t offset) {
+  std::vector<std::uint8_t> bytes = ReadBytes(path);
+  ASSERT_LT(offset, bytes.size());
+  bytes[offset] ^= 0x40;
+  WriteBytes(path, bytes);
+}
+
+void StoreU32(std::vector<std::uint8_t>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void StoreU64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// Footer field offsets within the 52-byte footer (sstable.h layout).
+constexpr std::size_t kFootIndexOff = 0;
+constexpr std::size_t kFootIndexLen = 8;
+constexpr std::size_t kFootIndexCrc = 12;
+constexpr std::size_t kFootBloomOff = 16;
+constexpr std::size_t kFootBloomLen = 24;
+constexpr std::size_t kFootBloomCrc = 28;
+
+/// The block index of a table file's bytes, decoded per sstable.h.
+std::vector<SSTableIndexEntry> IndexOf(const std::vector<std::uint8_t>& b) {
+  const std::size_t footer = b.size() - kSSTableFooterBytes;
+  const std::uint64_t at = frame::LoadU64(&b[footer + kFootIndexOff]);
+  std::vector<SSTableIndexEntry> index(frame::LoadU32(&b[at]));
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const std::uint8_t* e = &b[at + 4 + 24 * i];
+    index[i] = {frame::LoadU32(e), frame::LoadU32(e + 4), frame::LoadU64(e + 8),
+                frame::LoadU32(e + 16), frame::LoadU32(e + 20)};
+  }
+  return index;
+}
+
+/// Path of the newest sealed table (highest sequence number) in `dir`.
+std::string NewestTable(const std::string& dir) {
+  std::string newest;
+  std::uint64_t best = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".sst") continue;
+    const std::uint64_t seq = std::stoull(entry.path().stem().string());
+    if (newest.empty() || seq > best) {
+      best = seq;
+      newest = entry.path().string();
+    }
+  }
+  return newest;
 }
 
 TEST(LsmEngine, PutGetRemoveScanRoundTrip) {
@@ -221,15 +289,7 @@ TEST(SSTable, AuditCatchesCorruptionAndFsckStoreDirCatchesStrays) {
   for (const auto& entry : fs::directory_iterator(dir.path()))
     if (entry.path().extension() == ".sst") table = entry.path().string();
   ASSERT_FALSE(table.empty());
-  {
-    std::fstream f(table, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(10);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(10);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
+  FlipByte(table, 10);
   const SSTableAudit audit = AuditSSTable(table);
   EXPECT_FALSE(audit.clean());
   EXPECT_FALSE(FsckStoreDir(dir.path()).clean());
@@ -244,6 +304,216 @@ TEST(SSTable, AuditCatchesCorruptionAndFsckStoreDirCatchesStrays) {
   const FsckReport stray = FsckStoreDir(stray_dir.path());
   ASSERT_FALSE(stray.clean());
   EXPECT_EQ(stray.issues[0].check, "store.stray-table");
+}
+
+// --- the in-memory table reader ----------------------------------------
+
+/// A multi-block table of `n` records (ids 1..n) at `path`.
+std::vector<SSTableIndexEntry> WriteBlockyTable(const std::string& path,
+                                                NodeId n) {
+  std::vector<InodeRecord> records;
+  for (NodeId id = 1; id <= n; ++id)
+    records.push_back(Rec(id, "blocky_" + std::to_string(id), id));
+  SSTableOptions options;
+  options.block_bytes = 512;
+  EXPECT_TRUE(WriteRecordsTable(records, path, options));
+  return IndexOf(ReadBytes(path));
+}
+
+TEST(SSTableReader, DamagedBlockStaysUnreadableWhileOtherBlocksServe) {
+  ScratchDir dir("damaged");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.Sub("t.sst");
+  const std::vector<SSTableIndexEntry> index = WriteBlockyTable(path, 120);
+  ASSERT_GE(index.size(), 3u);
+  const SSTableIndexEntry bad = index[1];
+  FlipByte(path, bad.offset + bad.length / 2);
+
+  SSTableReader reader;
+  ASSERT_TRUE(reader.Open(path));  // data blocks are checked on first use
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass reuses verdicts
+    for (NodeId id = 1; id <= 120; ++id) {
+      SSTableEntry entry;
+      const SSTableGet got = reader.Get(id, &entry);
+      if (id >= bad.first_id && id <= bad.last_id) {
+        EXPECT_EQ(got, SSTableGet::kBlockFailed) << id;
+      } else {
+        ASSERT_EQ(got, SSTableGet::kFound) << id;
+        EXPECT_EQ(entry.record.name, "blocky_" + std::to_string(id));
+        EXPECT_EQ(entry.record.attrs.mtime, id);
+      }
+    }
+  }
+  SSTableEntry entry;
+  EXPECT_EQ(reader.Get(121, &entry), SSTableGet::kAbsent);
+  EXPECT_FALSE(reader.Scan([](const SSTableEntry&) {}));
+  EXPECT_FALSE(AuditSSTable(path).clean());
+}
+
+TEST(LsmEngine, CompactionLeavesARunWithADamagedBlockInPlace) {
+  ScratchDir dir("nocompact");
+  ASSERT_FALSE(dir.path().empty());
+  LsmOptions options;
+  options.table.block_bytes = 512;
+  options.tier_fanout = 2;
+  LsmEngine engine(dir.path(), options);
+  for (NodeId id = 1; id <= 120; ++id)
+    engine.Put(Rec(id, "blocky_" + std::to_string(id), id));
+  engine.Flush();
+  const std::string first = NewestTable(dir.path());
+  const std::vector<SSTableIndexEntry> index = IndexOf(ReadBytes(first));
+  ASSERT_GE(index.size(), 3u);
+  const std::uint64_t flip_at = index[1].offset + index[1].length / 2;
+  FlipByte(first, flip_at);
+  engine.Reopen();  // the damaged bytes are what the reader now holds
+
+  // A second same-tier table makes the pair a compaction run; the merge
+  // must refuse rather than write a table missing the damaged block.
+  for (NodeId id = 200; id < 220; ++id) engine.Put(Rec(id, "late"));
+  engine.Flush();
+  EXPECT_EQ(engine.Stats().compactions, 0u);
+  EXPECT_EQ(engine.Stats().tables, 2u);
+  EXPECT_TRUE(fs::exists(first));
+  EXPECT_FALSE(engine.AuditStorage().empty());
+  EXPECT_FALSE(engine.Get(index[1].first_id).has_value());
+  EXPECT_TRUE(engine.Get(index[0].first_id).has_value());
+  EXPECT_TRUE(engine.Get(210).has_value());
+
+  // Nothing was dropped: with the byte restored every record is back.
+  FlipByte(first, flip_at);
+  engine.Reopen();
+  EXPECT_EQ(engine.Size(), 140u);
+  for (NodeId id = 1; id <= 120; ++id) {
+    const auto rec = engine.Get(id);
+    ASSERT_TRUE(rec.has_value()) << id;
+    EXPECT_EQ(rec->attrs.mtime, id);
+  }
+  EXPECT_TRUE(engine.AuditStorage().empty());
+}
+
+TEST(LsmEngine, DamagedTombstoneBlockFailsClosed) {
+  ScratchDir dir("tombdamage");
+  ASSERT_FALSE(dir.path().empty());
+  LsmEngine engine(dir.path());
+  engine.Put(Rec(5, "deleted"));
+  engine.Flush();
+  ASSERT_TRUE(engine.Remove(5).has_value());
+  engine.Flush();  // the tombstone now lives in the newest table
+
+  FlipByte(NewestTable(dir.path()), 0);  // inside its only data block
+  engine.Reopen();
+  // The older table's copy must not resurface past the damaged tombstone.
+  EXPECT_FALSE(engine.Get(5).has_value());
+  EXPECT_FALSE(engine.Contains(5));
+  EXPECT_FALSE(engine.AuditStorage().empty());
+}
+
+TEST(SSTableReader, IndexEntryOutsideDataRegionFailsOpenAndAudit) {
+  ScratchDir dir("badindex");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.Sub("t.sst");
+  WriteBlockyTable(path, 120);
+  const std::vector<std::uint8_t> clean = ReadBytes(path);
+  const std::size_t footer = clean.size() - kSSTableFooterBytes;
+  const std::uint64_t index_off =
+      frame::LoadU64(&clean[footer + kFootIndexOff]);
+  const std::uint32_t index_len =
+      frame::LoadU32(&clean[footer + kFootIndexLen]);
+
+  // Block 1 moved to the index region; to just past the file; and to an
+  // offset whose end wraps around 2^64.
+  const std::pair<std::uint64_t, std::uint32_t> crafted[] = {
+      {index_off, 8}, {clean.size(), 8}, {~std::uint64_t{0} - 7, 16}};
+  for (const auto& [offset, length] : crafted) {
+    std::vector<std::uint8_t> bytes = clean;
+    const std::size_t entry = index_off + 4 + 24;  // index entry 1
+    StoreU64(bytes, entry + 8, offset);
+    StoreU32(bytes, entry + 16, length);
+    StoreU32(bytes, footer + kFootIndexCrc,
+             Crc32(&bytes[index_off], index_len));  // CRC-valid index
+    WriteBytes(path, bytes);
+
+    SSTableReader reader;
+    EXPECT_FALSE(reader.Open(path)) << offset;
+    const SSTableAudit audit = AuditSSTable(path);
+    ASSERT_FALSE(audit.clean()) << offset;
+    EXPECT_NE(audit.issues[0].find("outside the data region"),
+              std::string::npos)
+        << audit.issues[0];
+  }
+}
+
+TEST(SSTableReader, CraftedBloomHeaderIsRejected) {
+  ScratchDir dir("bloomcraft");
+  ASSERT_FALSE(dir.path().empty());
+  const std::string path = dir.Sub("t.sst");
+  ASSERT_TRUE(WriteRecordsTable({Rec(1, "x")}, path));
+  const std::vector<std::uint8_t> clean = ReadBytes(path);
+  const std::size_t footer = clean.size() - kSSTableFooterBytes;
+  const std::uint64_t bloom_off =
+      frame::LoadU64(&clean[footer + kFootBloomOff]);
+
+  struct Bloom {
+    std::uint32_t nbits;
+    std::uint32_t nhashes;
+    std::size_t nbytes;
+  };
+  const Bloom crafted[] = {
+      // 2^32 - 1 bits and no bit array: a 32-bit byte count wraps to 0,
+      // so the empty array would pass and every probe would read past it.
+      {0xFFFFFFFFu, 6, 0},
+      // 2^32 - 1 hashes over all-ones bits: each probe would loop for
+      // seconds and still report the id present.
+      {64, 0xFFFFFFFFu, 8},
+  };
+  for (const Bloom& bloom : crafted) {
+    // Replace the bloom region; everything else stays CRC-valid.
+    std::vector<std::uint8_t> bytes(
+        clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(bloom_off));
+    frame::PutU32(bytes, bloom.nbits);
+    frame::PutU32(bytes, bloom.nhashes);
+    bytes.insert(bytes.end(), bloom.nbytes, 0xFF);
+    bytes.insert(bytes.end(),
+                 clean.begin() + static_cast<std::ptrdiff_t>(footer),
+                 clean.end());
+    const std::size_t new_footer = bytes.size() - kSSTableFooterBytes;
+    const auto bloom_len = static_cast<std::uint32_t>(8 + bloom.nbytes);
+    StoreU32(bytes, new_footer + kFootBloomLen, bloom_len);
+    StoreU32(bytes, new_footer + kFootBloomCrc,
+             Crc32(&bytes[bloom_off], bloom_len));
+    WriteBytes(path, bytes);
+
+    SSTableReader reader;
+    EXPECT_FALSE(reader.Open(path)) << bloom.nhashes;
+    const SSTableAudit audit = AuditSSTable(path);
+    ASSERT_FALSE(audit.clean()) << bloom.nhashes;
+    EXPECT_NE(audit.issues[0].find("bloom"), std::string::npos)
+        << audit.issues[0];
+  }
+}
+
+TEST(LsmEngine, DiskDamageAfterOpenKeepsServingAndAuditReportsIt) {
+  ScratchDir dir("afteropen");
+  ASSERT_FALSE(dir.path().empty());
+  LsmEngine engine(dir.path());
+  for (NodeId id = 1; id <= 200; ++id)
+    engine.Put(Rec(id, "padpadpadpad" + std::to_string(id), id));
+  engine.Flush();
+  const auto verified = engine.Get(5);  // CRC-checks id 5's block
+  ASSERT_TRUE(verified.has_value());
+
+  const std::string table = NewestTable(dir.path());
+  const std::vector<SSTableIndexEntry> index = IndexOf(ReadBytes(table));
+  ASSERT_FALSE(index.empty());
+  ASSERT_LE(index[0].first_id, 5u);
+  ASSERT_GE(index[0].last_id, 5u);
+  FlipByte(table, index[0].offset + index[0].length / 2);
+
+  // The engine serves the bytes it verified; the audit re-reads the file.
+  EXPECT_EQ(engine.Get(5), verified);
+  const std::vector<std::string> issues = engine.AuditStorage();
+  ASSERT_FALSE(issues.empty());
+  EXPECT_NE(issues[0].find(table), std::string::npos) << issues[0];
 }
 
 // --- cluster integration -------------------------------------------------
