@@ -28,17 +28,26 @@ namespace {
 
 namespace fs = std::filesystem;
 
+enum class Backend : std::uint64_t { kMemory, kLsm };
+
+const char* BackendName(Backend backend) {
+  return backend == Backend::kMemory ? "memory" : "lsm";
+}
+
+// gtest names each instance after the raw bytes of this unprintable param,
+// so it holds no pointer and no padding: the test names stay the same from
+// run to run.
 struct BackendParam {
-  const char* name;
-  bool reopen_points;  // inject crash/restarts mid-stream (LSM only)
+  Backend backend;
+  std::uint64_t reopen_every;  // crash/restart after every Nth batch; 0: never
 };
 
 class StoreProperty : public ::testing::TestWithParam<BackendParam> {
  protected:
   void SetUp() override {
     dir_ = (fs::temp_directory_path() /
-            ("d2t_prop_" + std::string(GetParam().name) + "_" +
-             std::to_string(::getpid()) + "_XXXXXX"))
+            ("d2t_prop_" + std::string(BackendName(GetParam().backend)) +
+             "_" + std::to_string(::getpid()) + "_XXXXXX"))
                .string();
     ASSERT_NE(::mkdtemp(dir_.data()), nullptr);
   }
@@ -48,7 +57,7 @@ class StoreProperty : public ::testing::TestWithParam<BackendParam> {
   }
 
   std::unique_ptr<StoreEngine> MakeEngine(const std::string& instance) {
-    if (std::string(GetParam().name) == "memory")
+    if (GetParam().backend == Backend::kMemory)
       return std::make_unique<MemoryEngine>();
     LsmOptions options;
     options.memtable_limit_bytes = 8192;  // exercise seals + compactions
@@ -127,7 +136,8 @@ TEST_P(StoreProperty, SeededOpStreamMatchesMemoryOracle) {
                       ("after batch " + std::to_string(batch)).c_str());
 
     // Crash/restart injection: a durable backend must resume identical.
-    if (GetParam().reopen_points && batch % 5 == 4) {
+    const std::uint64_t every = GetParam().reopen_every;
+    if (every != 0 && static_cast<std::uint64_t>(batch) % every == every - 1) {
       const StoreRecoveryInfo info = store.Reopen();
       EXPECT_TRUE(info.opened_existing);
       ExpectStoresAgree(store, oracle, "after Reopen()");
@@ -179,10 +189,10 @@ TEST_P(StoreProperty, BulkExtractInsertAndTableShippingRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, StoreProperty,
-    ::testing::Values(BackendParam{"memory", false},
-                      BackendParam{"lsm", true}),
+    ::testing::Values(BackendParam{Backend::kMemory, 0},
+                      BackendParam{Backend::kLsm, 5}),
     [](const ::testing::TestParamInfo<BackendParam>& info) {
-      return std::string(info.param.name);
+      return std::string(BackendName(info.param.backend));
     });
 
 }  // namespace

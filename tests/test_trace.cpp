@@ -2,6 +2,7 @@
 // Table I / Table II substitutions, DESIGN.md §3).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "d2tree/core/layers.h"
@@ -65,6 +66,10 @@ struct ProfileCase {
   double read, write, update;  // Table II row
   std::uint32_t max_depth;     // Table I column
 };
+
+// Names the case in the test listing; without it gtest prints the raw bytes
+// of the case, pointers included, and the test names change on every run.
+void PrintTo(const ProfileCase& pc, std::ostream* os) { *os << pc.name; }
 
 class ProfileSweep : public ::testing::TestWithParam<ProfileCase> {};
 
