@@ -11,9 +11,7 @@
 #   ablation_store           — store-engine micro ops and the million-
 #                              record sealed-table handoff (DESIGN.md §11)
 #
-# plus one real-process section: scripts/socket_bench.sh boots monitor +
-# 3 mdsd over TCP loopback and replays the same mix through d2bench-client
-# (honest ops/sec and wall-clock percentiles per op class).
+# Real daemons are measured by the benchmark of record, d2bench/.
 #
 # Each binary exits nonzero when its own correctness audit fails, so a
 # snapshot only ever captures a self-consistent run.
@@ -44,8 +42,6 @@ echo "== rename ablation + transactional path =="
 "$BUILD_DIR/bench/ablation_rename" "$TMP/rename.json" >/dev/null
 echo "== store engine + sealed-table handoff =="
 "$BUILD_DIR/bench/ablation_store" "$TMP/store.json" >/dev/null
-echo "== real-socket 4-process replay =="
-"$(dirname "$0")/socket_bench.sh" "$BUILD_DIR" "$TMP/socket.json" >/dev/null
 
 python3 - "$TMP" "$OUT" <<'PY'
 import json, os, sys
@@ -61,7 +57,6 @@ merged = {
     "recovery": json.load(open(os.path.join(tmp, "recovery.json"))),
     "rename": json.load(open(os.path.join(tmp, "rename.json"))),
     "store": json.load(open(os.path.join(tmp, "store.json"))),
-    "socket": json.load(open(os.path.join(tmp, "socket.json"))),
 }
 with open(out, "w") as f:
     json.dump(merged, f, indent=2)

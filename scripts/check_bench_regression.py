@@ -87,19 +87,6 @@ TRACKED = [
     ("store.handoff.per_record_ms", "bounded", 3.00, 500.0),
     ("store.put.lsm_ns_op", "bounded", 3.00, 500.0),
     ("store.get.lsm_sealed_ns_op", "bounded", 3.00, 2000.0),
-    # --- real-socket 4-process replay (scripts/socket_bench.sh) ---
-    # Correctness: every op succeeded and every daemon drained cleanly and
-    # passed its own consistency audit on SIGTERM.
-    ("socket.failed", "zero", None, None),
-    ("socket.daemons_clean", "true", None, None),
-    # Wall-clock RPC latency over loopback TCP: very machine-dependent, so
-    # wide bands + generous floors. ops_per_sec is deliberately untracked
-    # (`bounded` only catches growth; throughput regresses by *shrinking*
-    # — the latency percentiles below are the honest slowdown signal).
-    ("socket.latency_by_class[class=GL hit].p50_us", "bounded", 3.00, 300.0),
-    ("socket.latency_by_class[class=GL hit].p99_us", "bounded", 3.00, 2000.0),
-    ("socket.latency_by_class[class=LL 0-jump].p50_us", "bounded", 3.00, 300.0),
-    ("socket.latency_by_class[class=LL 1-jump].p50_us", "bounded", 3.00, 600.0),
 ]
 
 
@@ -203,15 +190,6 @@ def self_test():
                         "bulk_ms": 600.0, "bulk_faster": True,
                         "dest_equal": True},
         },
-        "socket": {
-            "failed": 0,
-            "daemons_clean": True,
-            "latency_by_class": [
-                {"class": "GL hit", "p50_us": 90.0, "p99_us": 500.0},
-                {"class": "LL 0-jump", "p50_us": 95.0, "p99_us": 520.0},
-                {"class": "LL 1-jump", "p50_us": 200.0, "p99_us": 700.0},
-            ],
-        },
     }
     fresh_ok = json.loads(json.dumps(base))
     # Identical snapshots pass.
@@ -242,22 +220,6 @@ def self_test():
     missing = json.loads(json.dumps(base))
     del missing["rename"]["txn"]["cross_server"]
     assert any("cross_server" in v for v in check(base, missing))
-    # Real-socket replay: a failed op or a dirty daemon shutdown is a hard
-    # gate on the fresh run alone.
-    sock_fail = json.loads(json.dumps(base))
-    sock_fail["socket"]["failed"] = 3
-    assert any("socket.failed" in v for v in check(base, sock_fail))
-    dirty = json.loads(json.dumps(base))
-    dirty["socket"]["daemons_clean"] = False
-    assert any("daemons_clean" in v for v in check(base, dirty))
-    # Loopback wall-clock noise inside the wide band passes; a gross
-    # slowdown beyond band + floor fails.
-    sock_noise = json.loads(json.dumps(base))
-    sock_noise["socket"]["latency_by_class"][0]["p50_us"] = 250.0
-    assert check(base, sock_noise) == []
-    sock_slow = json.loads(json.dumps(base))
-    sock_slow["socket"]["latency_by_class"][0]["p50_us"] = 5000.0
-    assert any("GL hit].p50_us" in v for v in check(base, sock_slow))
     # Store section: bulk losing to per-record is a hard gate on the
     # fresh run alone — the whole point of sealed-table shipping.
     bulk_lost = json.loads(json.dumps(base))

@@ -14,6 +14,13 @@
 #include "d2tree/storage/sstable.h"
 
 namespace d2tree {
+namespace {
+
+/// A parked node's owner in PlacementLocked(): no server has this id, so
+/// the shard helpers expect no server to hold the node.
+constexpr MdsId kInPendingPool = -2;
+
+}  // namespace
 
 FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
                                      std::size_t mds_count,
@@ -33,20 +40,24 @@ FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
     std::filesystem::create_directories(store_spec_.data_dir + "/ship", ec);
   }
   // Nobody else can reach `this` yet, but the guarded members are
-  // initialized under the placement lock so every access — including the
-  // ones inside Materialize() — carries its capability.
+  // initialized under the placement lock so every access carries its
+  // capability.
   WriterMutexLock topo(&topo_mu_);
   capacities_ = MdsCluster::Homogeneous(mds_count);
   scheme_ = D2TreeScheme(std::move(config));
   assignment_ = scheme_.Partition(tree_, capacities_);
   servers_.reserve(mds_count);
   mds_wals_.reserve(mds_count);
+  gl_master_version_.store(1, std::memory_order_release);
   for (std::size_t k = 0; k < mds_count; ++k) {
-    servers_.push_back(std::make_unique<MdsServer>(
-        static_cast<MdsId>(k), ServerStoreSpec(static_cast<MdsId>(k))));
+    const auto id = static_cast<MdsId>(k);
+    servers_.push_back(std::make_unique<MdsServer>(id, ServerStoreSpec(id)));
+    // A persistent store that opened existing data resumes from it.
+    FillLocalShard(tree_, assignment_, *servers_.back());
+    FillGlReplica(tree_, assignment_, servers_.back()->global_replica());
+    servers_.back()->set_gl_version(1);
     mds_wals_.push_back(std::make_unique<Wal>());
   }
-  Materialize();
   // Genesis checkpoint: a crash before the first adjustment round must
   // recover to the initial partition.
   JournalCapacitiesLocked();
@@ -55,7 +66,6 @@ FunctionalCluster::FunctionalCluster(const NamespaceTree& tree,
 
 StoreSpec FunctionalCluster::ServerStoreSpec(MdsId id) const {
   StoreSpec spec = store_spec_;
-  if (spec.only_mds >= 0 && spec.only_mds != id) return StoreSpec{};
   if (spec.persistent())
     spec.data_dir += "/mds" + std::to_string(id);
   return spec;
@@ -186,54 +196,10 @@ void FunctionalCluster::JournalCapacitiesLocked() {
   monitor_wal_.Append(record);
 }
 
-InodeRecord FunctionalCluster::MakeRecord(NodeId id) const {
-  const MetaNode& n = tree_.node(id);
-  InodeRecord r;
-  r.id = id;
-  r.parent = n.parent;
-  r.name = n.name;
-  r.type = n.type;
-  r.attrs.mode = n.is_directory() ? 0755 : 0644;
-  r.attrs.size = n.is_directory() ? 4096 : 1024;
-  r.version = 1;
-  return r;
-}
-
-void FunctionalCluster::Materialize() {
-  gl_master_version_.store(1, std::memory_order_release);
-  // A persistent store that opened existing data resumes rather than
-  // restarts: records it already holds keep their mutated mtimes and
-  // versions, and anything the freshly computed partition no longer
-  // places here (the previous run migrated it away, or it was promoted
-  // into the replicated crown) is dropped before the fill below.
-  if (store_spec_.persistent()) {
-    for (auto& server : servers_) {
-      const MdsId id = server->id();
-      for (NodeId held : server->local().HeldIds()) {
-        if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-            assignment_.OwnerOf(held) != id) {
-          server->local().Remove(held);
-        }
-      }
-    }
-  }
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    const InodeRecord record = MakeRecord(id);
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner == kReplicated) {
-      for (auto& server : servers_) server->global_replica().Put(record);
-    } else {
-      // Fill only what is missing or disagrees with the namespace (a
-      // record surviving from a run that renamed it is re-stamped; a
-      // record that merely mutated mtime/version is kept).
-      const auto held = servers_[owner]->local().Get(id);
-      if (!held.has_value() || held->name != record.name ||
-          held->parent != record.parent || held->type != record.type) {
-        servers_[owner]->local().Put(record);
-      }
-    }
-  }
-  for (auto& server : servers_) server->set_gl_version(1);
+Assignment FunctionalCluster::PlacementLocked() const {
+  Assignment placement = assignment_;
+  for (NodeId id : parked_nodes_) placement.owner[id] = kInPendingPool;
+  return placement;
 }
 
 void FunctionalCluster::RebuildGlReplicaLocked(MdsId mds) {
@@ -257,11 +223,7 @@ void FunctionalCluster::RebuildGlReplicaLocked(MdsId mds) {
   } else {
     // No live replica to copy from: re-materialize from the backing store
     // (update history is lost, but the namespace itself is durable).
-    for (NodeId id = 0; id < tree_.size(); ++id) {
-      if (!assignment_.IsReplicated(id)) continue;
-      replica.Put(MakeRecord(id));
-      ++rebuild.payload_records;
-    }
+    rebuild.payload_records = FillGlReplica(tree_, assignment_, replica);
   }
   // The bulk transfer rides the wire (donor replica, else the Monitor's
   // backing store); the rebuild itself is fenced by the placement epoch,
@@ -758,7 +720,7 @@ FunctionalCluster::RenameResult FunctionalCluster::RenameImpl(
       extracted.reserve(records.size());
       for (const InodeRecord& r : records) extracted.insert(r.id);
       for (NodeId v : members)
-        if (!extracted.contains(v)) records.push_back(MakeRecord(v));
+        if (!extracted.contains(v)) records.push_back(MakeRecord(tree_, v));
       recovered_records_.fetch_add(members.size() - extracted.size(),
                                    std::memory_order_relaxed);
     }
@@ -988,34 +950,16 @@ bool FunctionalCluster::ReviveServer(MdsId mds) {
   }
   // A persistent store came through the crash holding its durable
   // records; anything an adjustment round re-placed while this server was
-  // dead (or that is pinned to an in-flight handoff) must not resurface
-  // here as a second copy.
-  if (store_spec_.persistent()) {
-    for (NodeId held : servers_[mds]->local().HeldIds()) {
-      if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-          assignment_.OwnerOf(held) != mds || parked_nodes_.contains(held)) {
-        servers_[mds]->local().Remove(held);
-      }
-    }
-  }
-  // Fast restart: if the crash window closed before any adjustment round,
-  // this server is still the assigned owner of its subtrees — once alive
-  // again nobody would re-place them, so their records must come back with
-  // it, re-materialized from the backing store (records the durable engine
+  // dead, or that is parked in the pending pool awaiting its re-issued
+  // pull, must not resurface here as a second copy. Fast restart: if the
+  // crash window closed before any adjustment round, this server is still
+  // the assigned owner of its subtrees — once alive again nobody would
+  // re-place them, so their records must come back with it,
+  // re-materialized from the backing store (records the durable engine
   // preserved stay as they are, mutations and all).
-  std::uint64_t restored = 0;
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (assignment_.IsReplicated(id) || assignment_.OwnerOf(id) != mds)
-      continue;
-    // A parked node is pinned to an in-flight handoff: its records live
-    // in the pending pool and arrive via the re-issued pull, so the
-    // restart must not conjure a second copy here.
-    if (parked_nodes_.contains(id)) continue;
-    if (servers_[mds]->local().Contains(id)) continue;
-    servers_[mds]->local().Put(MakeRecord(id));
-    ++restored;
-  }
-  recovered_records_.fetch_add(restored, std::memory_order_relaxed);
+  recovered_records_.fetch_add(
+      FillLocalShard(tree_, PlacementLocked(), *servers_[mds]),
+      std::memory_order_relaxed);
   // The pull-dedup set is volatile; rebuild it from this server's journal
   // so a pull retransmitted across the crash is still dropped.
   std::vector<std::uint64_t> applied;
@@ -1218,7 +1162,7 @@ std::size_t FunctionalCluster::RunAdjustmentRound() {
       extracted.reserve(records.size());
       for (const InodeRecord& r : records) extracted.insert(r.id);
       for (NodeId v : members)
-        if (!extracted.contains(v)) records.push_back(MakeRecord(v));
+        if (!extracted.contains(v)) records.push_back(MakeRecord(tree_, v));
       recovered_records_.fetch_add(members.size() - extracted.size(),
                                    std::memory_order_relaxed);
     }
@@ -1325,69 +1269,19 @@ bool FunctionalCluster::CheckConsistency(std::string* error) const {
   };
   if (crashed_.load(std::memory_order_acquire))
     return fail("metadata service crashed; Recover() before auditing");
-  std::vector<const MdsServer*> live;
-  for (const auto& server : servers_)
-    if (server->alive()) live.push_back(server.get());
-  if (live.empty()) return fail("no server is alive");
-  // Per-node placement audit, over the live membership.
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    if (assignment_.IsReplicated(id)) {
-      for (const MdsServer* server : live) {
-        if (!server->global_replica().Contains(id))
-          return fail("GL node " + tree_.PathOf(id) + " missing on server " +
-                      std::to_string(server->id()));
-        if (server->local().Contains(id))
-          return fail("GL node " + tree_.PathOf(id) + " duplicated locally");
-      }
-    } else {
-      const MdsId owner = assignment_.OwnerOf(id);
-      const bool owner_alive = AliveLocked(owner);
-      std::size_t holders = 0;
-      for (const MdsServer* server : live) {
-        holders += server->local().Contains(id);
-        if (server->global_replica().Contains(id))
-          return fail("LL node " + tree_.PathOf(id) + " found in a GL replica");
-      }
-      if (parked_nodes_.contains(id)) {
-        // Mid-handoff: the records sit in the pending pool awaiting the
-        // re-issued pull — nobody may hold them meanwhile (a holder here
-        // is exactly the double-assign the two-phase protocol forbids).
-        if (holders != 0)
-          return fail("parked LL node " + tree_.PathOf(id) +
-                      " held by a live server");
-      } else if (owner_alive) {
-        if (holders != 1)
-          return fail("LL node " + tree_.PathOf(id) + " held by " +
-                      std::to_string(holders) + " servers");
-        if (!servers_[owner]->local().Contains(id))
-          return fail("LL node " + tree_.PathOf(id) + " not at its owner");
-      } else if (holders != 0) {
-        // Owner crashed: the node is orphaned until an adjustment round
-        // re-places its subtree — nobody else may claim it meanwhile.
-        return fail("orphaned LL node " + tree_.PathOf(id) +
-                    " held by a live server");
-      }
-    }
-  }
-  // Replica versions (live replicas only; the dead catch up on revive).
+  if (AliveCountLocked() == 0) return fail("no server is alive");
+  // Each live server holds exactly its shard: an LL node whose owner is
+  // alive is then held once, at its owner, and a node orphaned by a crash
+  // or parked mid-handoff by no live server. The dead catch up on revive.
+  const Assignment placement = PlacementLocked();
   const std::uint64_t master = gl_master_version_.load();
-  for (const MdsServer* server : live) {
+  for (const auto& server : servers_) {
+    if (!server->alive()) continue;
+    std::string shard_error = AuditShard(tree_, placement, *server);
+    if (!shard_error.empty()) return fail(std::move(shard_error));
     if (server->gl_version() != master)
       return fail("server " + std::to_string(server->id()) +
                   " GL replica at stale version");
-  }
-  // Record ↔ namespace agreement (spot fields).
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner != kReplicated &&
-        (!AliveLocked(owner) || parked_nodes_.contains(id)))
-      continue;  // orphaned or mid-handoff
-    const auto rec = owner == kReplicated
-                         ? live.front()->global_replica().Get(id)
-                         : servers_[owner]->local().Get(id);
-    if (!rec.has_value()) return fail("record lost for " + tree_.PathOf(id));
-    if (rec->name != tree_.node(id).name || rec->parent != tree_.node(id).parent)
-      return fail("record mismatch for " + tree_.PathOf(id));
   }
   return true;
 }
@@ -1523,6 +1417,23 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
   //    them at the grantee and journal the commit. Both decisions are
   //    idempotent under re-replay (a crash *during* recovery resolves to
   //    the same outcome).
+  //    A rolled-forward transfer (migration pull or cross-server rename)
+  //    may already be journaled at its destination: the crash hit between
+  //    that append and the Monitor's commit. Dedup on the destination's
+  //    own WAL decides whether rolling forward is a re-delivery.
+  const auto journal_transfer_once = [&](MdsId to, std::uint64_t id) {
+    if (to < 0 || static_cast<std::size_t>(to) >= mds_wals_.size()) return;
+    for (const WalRecord& r : mds_wals_[to]->Replay()) {
+      if (r.type == WalRecordType::kPullApplied && r.migration_id == id) {
+        duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    WalRecord applied;
+    applied.type = WalRecordType::kPullApplied;
+    applied.migration_id = id;
+    mds_wals_[to]->Append(applied);
+  };
   for (auto& [id, flight] : flights) {
     if (flight.state == MigState::kIntent) {
       WalRecord abort;
@@ -1543,24 +1454,7 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
       commit.from = flight.from;
       commit.to = flight.to;
       monitor_wal_.Append(commit);
-      if (flight.to >= 0 &&
-          static_cast<std::size_t>(flight.to) < mds_wals_.size()) {
-        // The grantee may have journaled the pull before the crash (the
-        // crash hit between its journal append and the Monitor's commit):
-        // dedup on its own WAL decides whether this is a re-delivery.
-        bool already_applied = false;
-        for (const WalRecord& r : mds_wals_[flight.to]->Replay())
-          if (r.type == WalRecordType::kPullApplied && r.migration_id == id)
-            already_applied = true;
-        if (already_applied) {
-          duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          WalRecord applied;
-          applied.type = WalRecordType::kPullApplied;
-          applied.migration_id = id;
-          mds_wals_[flight.to]->Append(applied);
-        }
-      }
+      journal_transfer_once(flight.to, id);
       ++report.migrations_rolled_forward;
     }
   }
@@ -1595,23 +1489,7 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
       if (flight.from != flight.to) {
         auto idx = index_of_root.find(flight.root);
         if (idx != index_of_root.end()) owners[idx->second] = flight.to;
-        if (flight.to >= 0 &&
-            static_cast<std::size_t>(flight.to) < mds_wals_.size()) {
-          // The destination may have journaled the transfer before the
-          // crash: dedup on its own WAL, exactly like a migration pull.
-          bool already_applied = false;
-          for (const WalRecord& r : mds_wals_[flight.to]->Replay())
-            if (r.type == WalRecordType::kPullApplied && r.migration_id == id)
-              already_applied = true;
-          if (already_applied) {
-            duplicate_pulls_dropped_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            WalRecord applied;
-            applied.type = WalRecordType::kPullApplied;
-            applied.migration_id = id;
-            mds_wals_[flight.to]->Append(applied);
-          }
-        }
+        journal_transfer_once(flight.to, id);
       }
       ++gl_version;
       WalRecord bump;
@@ -1673,34 +1551,14 @@ FunctionalCluster::RecoveryReport FunctionalCluster::Recover() {
   }
   for (const auto& server : servers_)
     if (server->alive()) RebuildGlReplicaLocked(server->id());
-  if (persistent) {
-    // Durable records the recovered placement no longer puts here are
-    // dropped before the fill below (the migration that moved them away
-    // committed; their new owner rematerializes them).
-    for (auto& server : servers_) {
-      if (!server->alive()) continue;
-      const MdsId sid = server->id();
-      for (NodeId held : server->local().HeldIds()) {
-        if (held >= tree_.size() || assignment_.IsReplicated(held) ||
-            assignment_.OwnerOf(held) != sid) {
-          server->local().Remove(held);
-        }
-      }
-    }
-  }
+  // Durable records the recovered placement no longer puts on a server
+  // are dropped (the migration that moved them away committed; their new
+  // owner rematerializes them); records that survived keep their
+  // mutations.
   std::size_t rematerialized = 0;
-  for (NodeId id = 0; id < tree_.size(); ++id) {
-    const MdsId owner = assignment_.OwnerOf(id);
-    if (owner == kReplicated || !AliveLocked(owner)) continue;
-    const InodeRecord record = MakeRecord(id);
-    const auto held = servers_[owner]->local().Get(id);
-    if (held.has_value() && held->name == record.name &&
-        held->parent == record.parent && held->type == record.type) {
-      continue;  // survived in the durable store, mutations intact
-    }
-    servers_[owner]->local().Put(record);
-    ++rematerialized;
-  }
+  for (auto& server : servers_)
+    if (server->alive())
+      rematerialized += FillLocalShard(tree_, assignment_, *server);
   report.records_rematerialized = rematerialized;
   recovered_records_.fetch_add(rematerialized, std::memory_order_relaxed);
   // Pull-dedup sets are rebuilt from each server's own journal, so a pull

@@ -131,7 +131,7 @@ class FunctionalCluster {
   /// the per-server local-store backend: the default in-memory map, or
   /// the LSM engine under `store.data_dir/mds<k>/` — in which case a
   /// restart with the same directory resumes from the durable namespace
-  /// (Materialize only fills what the stores do not already hold) and
+  /// (FillLocalShard only writes what a store does not already hold) and
   /// subtree handoffs ship as sealed SSTables (one kBulkTable leg +
   /// file link-in) instead of per-record streams.
   FunctionalCluster(const NamespaceTree& tree, std::size_t mds_count,
@@ -457,10 +457,10 @@ class FunctionalCluster {
   std::size_t CheckPathIntegrity(std::string* error) const;
 
  private:
-  InodeRecord MakeRecord(NodeId id) const;
-  /// Loads every record into the right store. Called from the constructor
-  /// under the exclusive placement hold it takes for initialization.
-  void Materialize() D2T_REQUIRES(topo_mu_);
+  /// assignment_ with every parked node owned by no server: its records
+  /// wait in the pending pool. The placement each server's shard is filled
+  /// and audited against (FillLocalShard, AuditShard).
+  Assignment PlacementLocked() const D2T_REQUIRES_SHARED(topo_mu_);
   /// Client-side stub: sends the request leg(s) for `target` entering at
   /// `at`, drives the server-side handler, pays forward/failover legs and
   /// fills the per-op telemetry.

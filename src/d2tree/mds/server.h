@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -128,5 +129,34 @@ class MdsServer {
   std::atomic<bool> hb_suppressed_{false};
   mutable std::atomic<std::uint64_t> ops_{0};
 };
+
+// --- One server's shard of a placement (Sec. IV-A: its local-layer
+// --- subtrees plus a replica of the global layer). FunctionalCluster and
+// --- the mdsd daemon both fill and audit their servers through these.
+
+/// The record the namespace holds for `id`, at version 1.
+InodeRecord MakeRecord(const NamespaceTree& tree, NodeId id);
+
+/// Puts into `server`'s local store every node `placement` gives it. A
+/// store that opened durable data resumes rather than restarts: held
+/// records the placement does not give this server are dropped, and a
+/// held record is rewritten only when it disagrees with the namespace, so
+/// mutated mtimes and versions survive. Each write is one Put. Returns
+/// the number of records written.
+std::size_t FillLocalShard(const NamespaceTree& tree,
+                           const Assignment& placement, MdsServer& server);
+
+/// Puts every global-layer node of `placement` into `replica`; returns
+/// how many.
+std::size_t FillGlReplica(const NamespaceTree& tree,
+                          const Assignment& placement, MetadataStore& replica);
+
+/// Audits `server`'s shard against `placement`: every GL node is in the
+/// replica and not local, every node it owns is local and not in the
+/// replica, it holds nothing else, and every held record agrees with the
+/// namespace. Returns "" when clean, else the first violation, naming the
+/// node.
+std::string AuditShard(const NamespaceTree& tree, const Assignment& placement,
+                       const MdsServer& server);
 
 }  // namespace d2tree

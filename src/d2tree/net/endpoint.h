@@ -1,6 +1,6 @@
-// Endpoint naming shared by the socket transport's users: `mdsd`,
-// `d2bench-client` and the lifecycle tests all describe a cluster as a
-// comma-separated peer list
+// Endpoint naming shared by the socket transport's users: `mdsd`, its
+// clients (d2bench's load generator) and the lifecycle tests all describe
+// a cluster as a comma-separated peer list
 //
 //   mds0=127.0.0.1:7100,mds1=127.0.0.1:7101,monitor=127.0.0.1:7190
 //

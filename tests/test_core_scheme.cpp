@@ -1,12 +1,11 @@
-// Tests for LocalIndex, Monitor, GlobalLayerManager, SerialLock and the
-// end-to-end D2TreeScheme partitioner.
+// Tests for LocalIndex, Monitor, SerialLock and the end-to-end D2TreeScheme
+// partitioner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "d2tree/core/d2tree.h"
-#include "d2tree/core/global_layer.h"
 #include "d2tree/core/lock_service.h"
 #include "d2tree/metrics/metrics.h"
 #include "d2tree/trace/profiles.h"
@@ -157,31 +156,6 @@ TEST(Monitor, ToleranceSuppressesSmallImbalance) {
   const auto plan = mon.PlanAdjustment(subtrees, owners, {0.0, 0.0},
                                        MdsCluster::Homogeneous(2));
   EXPECT_TRUE(plan.empty());
-}
-
-TEST(GlobalLayerManager, VersionsPropagateAfterDelay) {
-  GlobalLayerConfig cfg;
-  cfg.propagation_delay = 0.5;
-  GlobalLayerManager gl(3, cfg);
-  EXPECT_EQ(gl.master_version(), 0u);
-  gl.ApplyUpdate(10.0);
-  EXPECT_EQ(gl.master_version(), 1u);
-  EXPECT_FALSE(gl.ReplicaFresh(0, 10.2));
-  EXPECT_EQ(gl.ReplicaVersion(0, 10.2), 0u);
-  EXPECT_EQ(gl.StaleReplicaCount(10.2), 3u);
-  EXPECT_TRUE(gl.ReplicaFresh(0, 10.5));
-  EXPECT_EQ(gl.ReplicaVersion(1, 11.0), 1u);
-  EXPECT_EQ(gl.StaleReplicaCount(11.0), 0u);
-}
-
-TEST(GlobalLayerManager, LeaseValidity) {
-  GlobalLayerConfig cfg;
-  cfg.lease_duration = 2.0;
-  GlobalLayerManager gl(1, cfg);
-  const double expiry = gl.GrantLease(5.0);
-  EXPECT_DOUBLE_EQ(expiry, 7.0);
-  EXPECT_TRUE(gl.LeaseValid(5.0, 6.9));
-  EXPECT_FALSE(gl.LeaseValid(5.0, 7.1));
 }
 
 TEST(SerialLock, SerializesOverlappingRequests) {

@@ -1,9 +1,11 @@
-// Tests for the functional MDS runtime: stores, servers, the live cluster
-// (materialization, access logic, GL updates, physical migration,
-// consistency auditing, concurrent clients).
+// Tests for the functional MDS runtime: stores, servers, the shard fill and
+// audit, the live cluster (materialization, access logic, GL updates,
+// physical migration, consistency auditing, concurrent clients).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "d2tree/mds/cluster.h"
@@ -246,6 +248,123 @@ TEST_F(FunctionalClusterTest, ConcurrentReadersAndGlWriters) {
   EXPECT_EQ(failures.load(), 0);
   std::string error;
   EXPECT_TRUE(cluster_.CheckConsistency(&error)) << error;
+}
+
+// The shard helpers an mdsd daemon serves from: one MdsServer filled from
+// the namespace and the partition every daemon computes alike.
+class ShardTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kMds = 3;
+
+  ShardTest()
+      : workload_(GenerateWorkload(LmbeProfile(0.02))),
+        placement_(D2TreeScheme{}.Partition(workload_.tree,
+                                            MdsCluster::Homogeneous(kMds))) {}
+
+  /// Server `id` filled the way an mdsd daemon fills itself at boot.
+  std::unique_ptr<MdsServer> Filled(MdsId id) const {
+    auto server = std::make_unique<MdsServer>(id);
+    FillLocalShard(workload_.tree, placement_, *server);
+    FillGlReplica(workload_.tree, placement_, server->global_replica());
+    return server;
+  }
+
+  /// The nodes `owner` (an MDS, or kReplicated) holds, ascending.
+  std::vector<NodeId> NodesOf(MdsId owner) const {
+    std::vector<NodeId> nodes;
+    for (NodeId id = 0; id < workload_.tree.size(); ++id)
+      if (placement_.OwnerOf(id) == owner) nodes.push_back(id);
+    return nodes;
+  }
+
+  Workload workload_;
+  Assignment placement_;
+};
+
+TEST_F(ShardTest, FilledShardMatchesTheClusterModelAndAuditsClean) {
+  const FunctionalCluster model(workload_.tree, kMds);
+  for (MdsId k = 0; k < static_cast<MdsId>(kMds); ++k) {
+    const auto server = Filled(k);
+    EXPECT_FALSE(server->local().Snapshot().empty()) << "mds" << k;
+    EXPECT_EQ(server->local().Snapshot(), model.server(k).local().Snapshot())
+        << "mds" << k;
+    EXPECT_EQ(server->global_replica().Snapshot(),
+              model.server(k).global_replica().Snapshot())
+        << "mds" << k;
+    EXPECT_EQ(AuditShard(workload_.tree, placement_, *server), "")
+        << "mds" << k;
+  }
+}
+
+TEST_F(ShardTest, RefillKeepsMutationsAndDropsWhatIsNotOwned) {
+  const NamespaceTree& tree = workload_.tree;
+  const auto server = Filled(1);
+  const std::vector<NodeId> mine = NodesOf(1);
+  ASSERT_GE(mine.size(), 2u);
+  const NodeId owned = mine.back();
+  const NodeId renamed = mine.front();
+  const NodeId foreign = NodesOf(0).back();
+  ASSERT_TRUE(server->local().Mutate(owned, 4242).has_value());
+  InodeRecord stale = MakeRecord(tree, renamed);
+  stale.name += "-old";
+  server->local().Put(stale);
+  server->local().Put(MakeRecord(tree, foreign));
+
+  // A restart on a durable store: only the renamed record is rewritten.
+  EXPECT_EQ(FillLocalShard(tree, placement_, *server), 1u);
+  EXPECT_EQ(server->local().Get(owned)->attrs.mtime, 4242u);
+  EXPECT_EQ(server->local().Get(renamed), MakeRecord(tree, renamed));
+  EXPECT_FALSE(server->local().Contains(foreign));
+  EXPECT_EQ(AuditShard(tree, placement_, *server), "");
+}
+
+TEST_F(ShardTest, AuditNamesTheNodeOfEachFault) {
+  const NamespaceTree& tree = workload_.tree;
+  constexpr MdsId kMe = 1;
+  ASSERT_FALSE(NodesOf(kMe).empty());
+  ASSERT_FALSE(NodesOf(0).empty());
+  const NodeId owned = NodesOf(kMe).back();
+  const NodeId foreign = NodesOf(0).back();
+  const NodeId gl = NodesOf(kReplicated).back();
+  struct Fault {
+    const char* what;
+    NodeId node;  // the node the audit must name
+    std::function<void(MdsServer&)> inject;
+  };
+  const Fault faults[] = {
+      {"owned record removed", owned,
+       [&](MdsServer& s) { (void)s.local().Remove(owned); }},
+      {"foreign local-layer record stored locally", foreign,
+       [&](MdsServer& s) { s.local().Put(MakeRecord(tree, foreign)); }},
+      {"GL record missing from the replica", gl,
+       [&](MdsServer& s) { (void)s.global_replica().Remove(gl); }},
+      {"GL record also stored locally", gl,
+       [&](MdsServer& s) { s.local().Put(MakeRecord(tree, gl)); }},
+      {"local-layer record in the GL replica", owned,
+       [&](MdsServer& s) { s.global_replica().Put(MakeRecord(tree, owned)); }},
+      {"held record named apart from the namespace", owned,
+       [&](MdsServer& s) {
+         InodeRecord r = MakeRecord(tree, owned);
+         r.name += "-stale";
+         s.local().Put(r);
+       }},
+  };
+  for (const Fault& fault : faults) {
+    const auto server = Filled(kMe);
+    fault.inject(*server);
+    const std::string error = AuditShard(tree, placement_, *server);
+    EXPECT_NE(error.find(": " + tree.PathOf(fault.node) + " "),
+              std::string::npos)
+        << fault.what << " gave '" << error << "'";
+  }
+  // A record for an id the namespace does not have is named by its id.
+  const auto server = Filled(kMe);
+  InodeRecord stray = MakeRecord(tree, owned);
+  stray.id = static_cast<NodeId>(tree.size());
+  server->local().Put(stray);
+  EXPECT_NE(AuditShard(tree, placement_, *server)
+                .find("node id " + std::to_string(tree.size())),
+            std::string::npos);
 }
 
 TEST(MdsStatusNames, AllNamed) {

@@ -319,8 +319,8 @@ TEST_F(MdsdLifecycle, CrashMidReplayFailoverAndRevive) {
 }
 
 /// Same 4-process cluster, but every MDS daemon persists its own store
-/// under a shared --data-dir (only its own role — bystander models stay
-/// in memory, so the daemons never cross-write).
+/// under a shared --data-dir (each at <dir>/mds<id>/local, so the daemons
+/// never cross-write).
 class MdsdPersistence : public MdsdLifecycle {
  protected:
   MdsdPersistence() {

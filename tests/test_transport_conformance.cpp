@@ -53,6 +53,11 @@ struct ConformanceParam {
   const char* name;
 };
 
+// Names the transport in the test listing; without it gtest prints the raw
+// bytes of the param, pointer and padding included, and the test names
+// change on every build.
+void PrintTo(const ConformanceParam& p, std::ostream* os) { *os << p.name; }
+
 std::string ParamName(
     const ::testing::TestParamInfo<ConformanceParam>& info) {
   return info.param.name;

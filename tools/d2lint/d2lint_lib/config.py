@@ -100,7 +100,7 @@ def default_config() -> Config:
         ],
         must_use_types=["Delivery", "DeliveryError", "DecodeStatus"],
         roots=["src", "tests", "tools/mdsd", "tools/d2fsck", "tools/d2sst",
-               "tools/d2bench_client", "bench", "examples"],
+               "bench", "examples"],
     )
 
 

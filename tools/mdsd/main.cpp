@@ -1,12 +1,15 @@
 // mdsd — one metadata-service role as a real process.
 //
 // Each daemon hosts exactly one role (one MDS, or the Monitor) behind a
-// SocketTransport listener. All daemons of a cluster are started with the
-// same --profile/--scale/--seed/--mds-count flags, so each deterministically
-// regenerates the identical namespace and D2-Tree partition (the same way
-// every MDS in the paper's system shares the global layer and the local
-// index): routing decisions agree across processes without any placement
-// exchange at boot.
+// SocketTransport listener. All MDS daemons of a cluster are started with
+// the same --profile/--scale/--seed/--mds-count flags, so each
+// deterministically regenerates the identical namespace and D2-Tree
+// partition (the same way every MDS in the paper's system shares the
+// global layer and the local index): routing decisions agree across
+// processes without any placement exchange at boot. An MDS daemon then
+// holds one MdsServer with its shard alone: the local-layer subtrees it
+// owns plus its replica of the global layer (Sec. IV-A). The Monitor
+// holds no namespace; it only grants global-layer versions.
 //
 //   mdsd --role mds --id 0 --listen 127.0.0.1:7100
 //        --peers mds0=127.0.0.1:7100,mds1=127.0.0.1:7101,monitor=127.0.0.1:7190
@@ -24,16 +27,15 @@
 //     own traffic, so re-planning locally would diverge the placements.
 //
 // With --data-dir <dir> an MDS daemon keeps its local store in the
-// embedded LSM engine under <dir>/mds<id>/ instead of RAM: a SIGKILLed
+// embedded LSM engine under <dir>/mds<id>/local instead of RAM: a SIGKILLed
 // daemon restarted on the same directory replays its engine WAL and
-// resumes from the durable namespace — mutations (mtimes, versions,
-// renames) survive where a memory daemon would silently regenerate the
-// pristine tree. Only this daemon's own role persists; the bystander
-// servers of its local cluster model stay in memory.
+// resumes from the durable namespace — mutations (mtimes, versions)
+// survive where a memory daemon would silently regenerate the pristine
+// tree. The GL replica stays in memory.
 //
 // After Bind succeeds the daemon prints "MDSD LISTENING <port>" on stdout
 // (port 0 in --listen auto-assigns); tests parse that line. SIGTERM/SIGINT
-// drains the transport, audits the local model with CheckConsistency, and
+// drains the transport, audits the MDS's shard with AuditShard, and
 // prints a one-line JSON stats summary; exit 0 iff the audit is clean.
 #include <csignal>
 #include <cstdio>
@@ -44,7 +46,8 @@
 #include <thread>
 #include <vector>
 
-#include "d2tree/mds/cluster.h"
+#include "d2tree/core/d2tree.h"
+#include "d2tree/mds/server.h"
 #include "d2tree/net/endpoint.h"
 #include "d2tree/net/socket_transport.h"
 #include "d2tree/trace/profiles.h"
@@ -107,6 +110,61 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
           (f->id >= 0 && static_cast<std::size_t>(f->id) < f->mds_count));
 }
 
+/// Binds `handler`, announces the port and serves until SIGTERM/SIGINT,
+/// then drains the transport. False when the listener cannot be set up.
+bool ServeUntilSignal(SocketTransport& transport, const Address& self,
+                      const std::string& listen, Transport::Handler handler) {
+  if (!transport.Bind(self, std::move(handler))) {
+    std::fprintf(stderr, "mdsd: cannot listen on %s\n",
+                 listen.empty() ? "127.0.0.1:0" : listen.c_str());
+    return false;
+  }
+  const std::string endpoint = transport.EndpointOf(self);
+  std::string host;
+  std::uint16_t port = 0;
+  if (!SplitHostPort(endpoint, &host, &port)) {
+    std::fprintf(stderr, "mdsd: bad bound endpoint '%s'\n", endpoint.c_str());
+    return false;
+  }
+  std::printf("MDSD LISTENING %u\n", static_cast<unsigned>(port));
+  std::fflush(stdout);
+
+  std::signal(SIGTERM, OnSignal);
+  std::signal(SIGINT, OnSignal);
+  while (g_stop == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Clean drain: stop accepting and let the workers finish.
+  transport.Shutdown(/*drain=*/true);
+  return true;
+}
+
+/// The one-line JSON exit report. `local` is the MDS's store; the
+/// Monitor, which holds none, passes nullptr.
+void PrintReport(const Flags& flags, const SocketTransport& transport,
+                 std::uint64_t gl_version, const MetadataStore* local,
+                 bool consistent) {
+  const StoreEngineStats store_stats =
+      local != nullptr ? local->EngineStats() : StoreEngineStats{};
+  std::printf(
+      "{\"role\": \"%s\", \"id\": %d, \"handled\": %llu, "
+      "\"dedup_hits\": %llu, \"corrupt_frames\": %llu, "
+      "\"busy_rejections\": %llu, \"gl_version\": %llu, "
+      "\"store\": \"%s\", \"store_records\": %zu, "
+      "\"store_tables\": %llu, \"store_wal_commits\": %llu, "
+      "\"consistent\": %s}\n",
+      flags.role.c_str(), flags.id,
+      static_cast<unsigned long long>(transport.handled_requests()),
+      static_cast<unsigned long long>(transport.dedup_hits()),
+      static_cast<unsigned long long>(transport.corrupt_frames()),
+      static_cast<unsigned long long>(transport.busy_rejections()),
+      static_cast<unsigned long long>(gl_version),
+      local != nullptr ? local->engine_name() : "none",
+      local != nullptr ? local->size() : 0,
+      static_cast<unsigned long long>(store_stats.tables),
+      static_cast<unsigned long long>(store_stats.wal_group_commits),
+      consistent ? "true" : "false");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,23 +179,6 @@ int main(int argc, char** argv) {
   }
   const Address self = flags.role == "monitor" ? MonitorAddress()
                                                : MdsAddress(flags.id);
-
-  // Identical flags → identical namespace, partition and local index in
-  // every daemon of the cluster.
-  TraceProfile profile = ProfileByName(flags.profile, flags.scale);
-  profile.seed = flags.seed;
-  const Workload workload = GenerateWorkload(profile);
-  // --data-dir puts this daemon's own role on the durable LSM engine;
-  // the bystander servers of the local cluster model stay in memory
-  // (only_mds) so N daemons sharing a directory never cross-write.
-  StoreSpec store;
-  if (!flags.data_dir.empty() && flags.role == "mds") {
-    store.backend = StoreSpec::Backend::kLsm;
-    store.data_dir = flags.data_dir;
-    store.only_mds = flags.id;
-  }
-  FunctionalCluster cluster(workload.tree, flags.mds_count, {}, nullptr,
-                            store);
 
   auto transport = std::make_shared<SocketTransport>();
   if (!flags.peers.empty()) {
@@ -163,9 +204,8 @@ int main(int argc, char** argv) {
   // grant returns the freshly bumped version in `migration_id`.
   std::atomic<std::uint64_t> gl_version{0};
 
-  Transport::Handler handler;
   if (flags.role == "monitor") {
-    handler = [&](const Address& from, const Message& req) -> Message {
+    const auto handler = [&](const Address& from, const Message& req) {
       (void)from;
       Message resp = req;
       resp.status = MdsStatus::kOk;
@@ -183,161 +223,136 @@ int main(int argc, char** argv) {
       }
       return resp;
     };
-  } else {
-    const MdsId me = flags.id;
-    handler = [&, me](const Address& from, const Message& req) -> Message {
-      (void)from;
-      Message resp = req;
-      switch (req.type) {
-        case MsgType::kStatRequest:
-        case MsgType::kForward: {
-          resp.type = MsgType::kStatResponse;
-          const Assignment& assignment = cluster.assignment();
-          if (req.target >= workload.tree.size()) {
-            resp.status = MdsStatus::kNotFound;
-            break;
-          }
-          const MdsId owner = assignment.OwnerOf(req.target);
-          if (owner != kReplicated && owner != me) {
-            // The paper's 1-jump, paid honestly: the client re-issues the
-            // request to the named owner as a second real RPC.
-            resp.status = MdsStatus::kWrongServer;
-            resp.peer = owner;
-            break;
-          }
-          const auto ancestors = workload.tree.AncestorsOf(req.target);
-          const MdsOpResult r = cluster.server(me).Stat(req.target, ancestors);
-          resp.status = r.status;
-          resp.record = r.record;
+    if (!ServeUntilSignal(*transport, self, flags.listen, handler)) return 1;
+    PrintReport(flags, *transport, gl_version.load(), nullptr, true);
+    return 0;
+  }
+
+  // Identical flags → identical namespace and partition in every MDS
+  // daemon; this one fills only its own shard. The trace only charged the
+  // tree's popularity, which the partition reads, so it is not kept.
+  TraceProfile profile = ProfileByName(flags.profile, flags.scale);
+  profile.seed = flags.seed;
+  const NamespaceTree tree = GenerateWorkload(profile).tree;
+  const Assignment assignment = D2TreeScheme{}.Partition(
+      tree, MdsCluster::Homogeneous(flags.mds_count));
+  StoreSpec store;
+  if (!flags.data_dir.empty()) {
+    store.backend = StoreSpec::Backend::kLsm;
+    store.data_dir = flags.data_dir + "/mds" + std::to_string(flags.id);
+  }
+  const MdsId me = flags.id;
+  MdsServer server(me, store);
+  FillLocalShard(tree, assignment, server);
+  FillGlReplica(tree, assignment, server.global_replica());
+
+  const auto handler = [&, me](const Address& from, const Message& req) {
+    (void)from;
+    Message resp = req;
+    switch (req.type) {
+      case MsgType::kStatRequest:
+      case MsgType::kForward: {
+        resp.type = MsgType::kStatResponse;
+        if (req.target >= tree.size()) {
+          resp.status = MdsStatus::kNotFound;
           break;
         }
-        case MsgType::kUpdateRequest: {
-          resp.type = MsgType::kUpdateResponse;
-          const Assignment& assignment = cluster.assignment();
-          if (req.target >= workload.tree.size()) {
-            resp.status = MdsStatus::kNotFound;
-            break;
-          }
-          if (assignment.IsReplicated(req.target)) {
-            // GL update: version round with the Monitor, local apply,
-            // kGlCommit fan-out (Sec. IV-A3 over real sockets).
-            Message lock{.type = MsgType::kGlWriteLock, .target = req.target};
-            Message grant;
-            const Delivery d = transport->Call(self, MonitorAddress(), lock,
-                                               &grant);
-            if (!d.delivered || grant.status != MdsStatus::kOk) {
-              resp.status = MdsStatus::kUnavailable;
-              break;
-            }
-            const std::uint64_t version = grant.migration_id;
-            cluster.server(me).global_replica().Mutate(req.target, req.mtime);
-            gl_version.store(version, std::memory_order_release);
-            Message commit{.type = MsgType::kGlCommit,
-                           .target = req.target,
-                           .mtime = req.mtime,
-                           .payload_records = 1,
-                           .migration_id = version};
-            for (std::size_t p = 0; p < flags.mds_count; ++p) {
-              if (static_cast<MdsId>(p) == me) continue;
-              // Best-effort fan-out: an unreachable replica catches up on
-              // the next commit it does see (versions are monotone).
-              (void)transport->SendReliable(
-                  self, MdsAddress(static_cast<MdsId>(p)), commit,
-                  /*max_tries=*/2);
-            }
-            resp.status = MdsStatus::kOk;
-            resp.record = cluster.server(me)
-                              .global_replica()
-                              .Get(req.target)
-                              .value_or(InodeRecord{});
-            resp.migration_id = version;
-            break;
-          }
-          const MdsId owner = assignment.OwnerOf(req.target);
-          if (owner != me) {
-            resp.status = MdsStatus::kWrongServer;
-            resp.peer = owner;
-            break;
-          }
-          const auto ancestors = workload.tree.AncestorsOf(req.target);
-          const MdsOpResult r =
-              cluster.server(me).UpdateLocal(req.target, ancestors, req.mtime);
-          resp.status = r.status;
-          resp.record = r.record;
+        const MdsId owner = assignment.OwnerOf(req.target);
+        if (owner != kReplicated && owner != me) {
+          // The paper's 1-jump, paid honestly: the client re-issues the
+          // request to the named owner as a second real RPC.
+          resp.status = MdsStatus::kWrongServer;
+          resp.peer = owner;
           break;
         }
-        case MsgType::kGlCommit: {
-          // Version-fenced replica apply; never rebroadcast (the
-          // coordinator already fans out to every peer).
-          const std::uint64_t version = req.migration_id;
-          std::uint64_t seen = gl_version.load(std::memory_order_acquire);
-          if (version > seen) {
-            cluster.server(me).global_replica().Mutate(req.target, req.mtime);
-            while (seen < version &&
-                   !gl_version.compare_exchange_weak(
-                       seen, version, std::memory_order_acq_rel)) {
-            }
-          }
-          resp.status = MdsStatus::kOk;
-          break;
-        }
-        case MsgType::kHeartbeat:
-          resp.status = MdsStatus::kOk;
-          break;
-        // d2lint: allow-default(unimplemented types answer kNotPermitted)
-        default:
-          resp.status = MdsStatus::kNotPermitted;
-          break;
+        const auto ancestors = tree.AncestorsOf(req.target);
+        const MdsOpResult r = server.Stat(req.target, ancestors);
+        resp.status = r.status;
+        resp.record = r.record;
+        break;
       }
-      return resp;
-    };
-  }
-
-  if (!transport->Bind(self, std::move(handler))) {
-    std::fprintf(stderr, "mdsd: cannot listen on %s\n",
-                 flags.listen.empty() ? "127.0.0.1:0" : flags.listen.c_str());
-    return 1;
-  }
-  const std::string endpoint = transport->EndpointOf(self);
-  std::string host;
-  std::uint16_t port = 0;
-  if (!SplitHostPort(endpoint, &host, &port)) {
-    std::fprintf(stderr, "mdsd: bad bound endpoint '%s'\n", endpoint.c_str());
-    return 1;
-  }
-  std::printf("MDSD LISTENING %u\n", static_cast<unsigned>(port));
-  std::fflush(stdout);
-
-  std::signal(SIGTERM, OnSignal);
-  std::signal(SIGINT, OnSignal);
-  while (g_stop == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  // Clean SIGTERM drain: stop accepting, let the workers finish, then
-  // audit the local model before reporting.
-  transport->Shutdown(/*drain=*/true);
-  std::string audit_error;
-  const bool consistent = cluster.CheckConsistency(&audit_error);
-  const MetadataStore& local = cluster.server(flags.id).local();
-  const StoreEngineStats store_stats = local.EngineStats();
-  std::printf(
-      "{\"role\": \"%s\", \"id\": %d, \"handled\": %llu, "
-      "\"dedup_hits\": %llu, \"corrupt_frames\": %llu, "
-      "\"busy_rejections\": %llu, \"gl_version\": %llu, "
-      "\"store\": \"%s\", \"store_records\": %zu, "
-      "\"store_tables\": %llu, \"store_wal_commits\": %llu, "
-      "\"consistent\": %s}\n",
-      flags.role.c_str(), flags.id,
-      static_cast<unsigned long long>(transport->handled_requests()),
-      static_cast<unsigned long long>(transport->dedup_hits()),
-      static_cast<unsigned long long>(transport->corrupt_frames()),
-      static_cast<unsigned long long>(transport->busy_rejections()),
-      static_cast<unsigned long long>(gl_version.load()),
-      local.engine_name(), local.size(),
-      static_cast<unsigned long long>(store_stats.tables),
-      static_cast<unsigned long long>(store_stats.wal_group_commits),
-      consistent ? "true" : "false");
-  if (!consistent)
+      case MsgType::kUpdateRequest: {
+        resp.type = MsgType::kUpdateResponse;
+        if (req.target >= tree.size()) {
+          resp.status = MdsStatus::kNotFound;
+          break;
+        }
+        if (assignment.IsReplicated(req.target)) {
+          // GL update: version round with the Monitor, local apply,
+          // kGlCommit fan-out (Sec. IV-A3 over real sockets).
+          Message lock{.type = MsgType::kGlWriteLock, .target = req.target};
+          Message grant;
+          const Delivery d =
+              transport->Call(self, MonitorAddress(), lock, &grant);
+          if (!d.delivered || grant.status != MdsStatus::kOk) {
+            resp.status = MdsStatus::kUnavailable;
+            break;
+          }
+          const std::uint64_t version = grant.migration_id;
+          server.global_replica().Mutate(req.target, req.mtime);
+          gl_version.store(version, std::memory_order_release);
+          Message commit{.type = MsgType::kGlCommit,
+                         .target = req.target,
+                         .mtime = req.mtime,
+                         .payload_records = 1,
+                         .migration_id = version};
+          for (std::size_t p = 0; p < flags.mds_count; ++p) {
+            if (static_cast<MdsId>(p) == me) continue;
+            // Best-effort fan-out: an unreachable replica catches up on
+            // the next commit it does see (versions are monotone).
+            (void)transport->SendReliable(
+                self, MdsAddress(static_cast<MdsId>(p)), commit,
+                /*max_tries=*/2);
+          }
+          resp.status = MdsStatus::kOk;
+          resp.record =
+              server.global_replica().Get(req.target).value_or(InodeRecord{});
+          resp.migration_id = version;
+          break;
+        }
+        const MdsId owner = assignment.OwnerOf(req.target);
+        if (owner != me) {
+          resp.status = MdsStatus::kWrongServer;
+          resp.peer = owner;
+          break;
+        }
+        const auto ancestors = tree.AncestorsOf(req.target);
+        const MdsOpResult r =
+            server.UpdateLocal(req.target, ancestors, req.mtime);
+        resp.status = r.status;
+        resp.record = r.record;
+        break;
+      }
+      case MsgType::kGlCommit: {
+        // Version-fenced replica apply; never rebroadcast (the
+        // coordinator already fans out to every peer).
+        const std::uint64_t version = req.migration_id;
+        std::uint64_t seen = gl_version.load(std::memory_order_acquire);
+        if (version > seen) {
+          server.global_replica().Mutate(req.target, req.mtime);
+          while (seen < version &&
+                 !gl_version.compare_exchange_weak(
+                     seen, version, std::memory_order_acq_rel)) {
+          }
+        }
+        resp.status = MdsStatus::kOk;
+        break;
+      }
+      case MsgType::kHeartbeat:
+        resp.status = MdsStatus::kOk;
+        break;
+      // d2lint: allow-default(unimplemented types answer kNotPermitted)
+      default:
+        resp.status = MdsStatus::kNotPermitted;
+        break;
+    }
+    return resp;
+  };
+  if (!ServeUntilSignal(*transport, self, flags.listen, handler)) return 1;
+  const std::string audit_error = AuditShard(tree, assignment, server);
+  PrintReport(flags, *transport, gl_version.load(), &server.local(),
+              audit_error.empty());
+  if (!audit_error.empty())
     std::fprintf(stderr, "mdsd: audit failed: %s\n", audit_error.c_str());
-  return consistent ? 0 : 1;
+  return audit_error.empty() ? 0 : 1;
 }
